@@ -12,8 +12,9 @@
 //     (size, ratio) shapes, plus the galloping-vs-SIMD ratio sweep that
 //     kGallopDispatchRatio (similarity/set_similarity.cc) is tuned from.
 //  3. Join wall/CPU — AllPairsJoin over the scaled Product input (the
-//     BENCH_exec.json workload at CROWDER_MACHINE_SCALE=25), with
-//     pair-verification counts.
+//     BENCH_exec.json workload at CROWDER_MACHINE_SCALE=25), with the
+//     probe kernel's work counters (postings scanned, candidates,
+//     verifications) and verifications per output pair.
 //  4. Cluster-route per-stage wall — the streaming cluster workflow's
 //     pair→HIT context assembly (cluster_index_wall_ms +
 //     cluster_context_wall_ms), the before/after axis of the inverted
@@ -289,11 +290,20 @@ int Main() {
       similarity::AllPairsJoin(join_input, join_options, &join_stats).ValueOrDie();
   const double join_wall_ms = join_timer.ElapsedMillis();
   const double join_cpu_ms = (CpuSeconds() - join_cpu0) * 1e3;
+  // Verifications per output pair: the waste ratio of the probe kernel's
+  // filters (0 when the join found nothing).
+  const double verifications_per_pair =
+      pairs.empty() ? 0.0
+                    : static_cast<double>(join_stats.pair_verifications) /
+                          static_cast<double>(pairs.size());
   std::cout << "\nserial AllPairs join: " << WithThousands(join_input.sets.size())
-            << " records -> " << WithThousands(pairs.size()) << " pairs, "
-            << WithThousands(join_stats.pair_verifications) << " verifications, wall "
+            << " records -> " << WithThousands(pairs.size()) << " pairs, wall "
             << FormatDouble(join_wall_ms, 0) << " ms, cpu " << FormatDouble(join_cpu_ms, 0)
-            << " ms\n";
+            << " ms\n"
+            << "  postings scanned: " << WithThousands(join_stats.postings_scanned) << "\n"
+            << "  candidates:       " << WithThousands(join_stats.candidates) << "\n"
+            << "  verifications:    " << WithThousands(join_stats.pair_verifications) << " ("
+            << FormatDouble(verifications_per_pair, 1) << " per output pair)\n";
 
   // Section 4: the streaming cluster route's context-assembly stage walls.
   data::ProductConfig product_config;
@@ -350,7 +360,11 @@ int Main() {
             << "  \"threshold\": " << FormatDouble(threshold, 2) << ",\n"
             << "  \"join_records\": " << join_input.sets.size() << ",\n"
             << "  \"join_pairs\": " << pairs.size() << ",\n"
+            << "  \"join_postings_scanned\": " << join_stats.postings_scanned << ",\n"
+            << "  \"join_candidates\": " << join_stats.candidates << ",\n"
             << "  \"join_verifications\": " << join_stats.pair_verifications << ",\n"
+            << "  \"join_verifications_per_pair\": " << FormatDouble(verifications_per_pair, 1)
+            << ",\n"
             << "  \"join_wall_ms\": " << FormatDouble(join_wall_ms, 0) << ",\n"
             << "  \"join_cpu_ms\": " << FormatDouble(join_cpu_ms, 0) << ",\n"
             << "  \"cluster_workflow_wall_ms\": " << FormatDouble(cluster_wall_ms, 0) << ",\n"

@@ -803,33 +803,47 @@ Result<bool> WorkflowDriver::PrepareRepairRound() {
   if (repair_rounds_used_ >= config_.repair_rounds) return false;
   if (pending_.pairs == nullptr) return false;
 
-  // A pair is under-replicated when fewer than assignments_per_hit of its
-  // votes survive the cumulative bans — the replication the config promised
-  // it. All the context's votes count, including earlier repair rounds'.
+  // A pair is under-replicated when this context asked it (it drew votes)
+  // but fewer than assignments_per_hit of them survive the cumulative bans —
+  // the replication the config promised it. All the context's votes count,
+  // including earlier repair rounds'. A cluster range's context also holds
+  // pairs none of its HITs cover (their records sit in different HITs);
+  // those draw no votes here and are asked by the range that covers them.
   const uint32_t target = config_.crowd.assignments_per_hit;
+  std::vector<uint32_t> cast(pending_.pairs->size(), 0);
   std::vector<uint32_t> surviving(pending_.pairs->size(), 0);
   for (const auto& [local, vote] : round_votes_) {
+    ++cast[local];
     if (banned_workers_.count(vote.worker_id) == 0) ++surviving[local];
   }
   std::vector<graph::Edge> deficient;
   for (size_t i = 0; i < surviving.size(); ++i) {
-    if (surviving[i] < target) {
+    if (cast[i] > 0 && surviving[i] < target) {
       deficient.push_back({(*pending_.pairs)[i].a, (*pending_.pairs)[i].b});
     }
   }
   if (deficient.empty()) return false;
 
-  // Re-post the deficient pairs as fresh pair-based HITs over the same
-  // context (legal even for a cluster round: backends dispatch on the
-  // batch's shape). The HIT sequence stays continuous — retire the answered
-  // round's HITs before swapping the repair HITs in.
-  hitgen::PairHitPacker packer(config_.pairs_per_hit);
-  CROWDER_RETURN_NOT_OK(packer.Add(deficient));
+  // Re-post the deficient pairs as fresh HITs over the same context, in the
+  // round's own HIT shape: a crowd session carries one interface from its
+  // first HIT on, so a cluster round repairs with two-record cluster HITs
+  // (each covers exactly its pair) and a pair round with packed pair HITs.
+  // The HIT sequence stays continuous — retire the answered round's HITs
+  // before swapping the repair HITs in.
   next_hit_ += static_cast<uint32_t>(pending_.num_hits());
-  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
   pending_.first_hit = next_hit_;
-  pending_.pair_hits = &round_pair_hits_;
-  pending_.cluster_hits = nullptr;
+  if (pending_.cluster_hits != nullptr) {
+    std::vector<hitgen::ClusterBasedHit> repair;
+    repair.reserve(deficient.size());
+    for (const graph::Edge& e : deficient) repair.push_back({{e.a, e.b}});
+    round_cluster_hits_ = std::move(repair);
+    pending_.cluster_hits = &round_cluster_hits_;
+  } else {
+    hitgen::PairHitPacker packer(config_.pairs_per_hit);
+    CROWDER_RETURN_NOT_OK(packer.Add(deficient));
+    CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
+    pending_.pair_hits = &round_pair_hits_;
+  }
   round_hits_filed_.clear();
   votes_submitted_ = false;
   ++repair_rounds_used_;

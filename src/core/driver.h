@@ -187,8 +187,10 @@ class WorkflowDriver {
   void FinishRound();
   /// The fault-tolerance half of revision (config.repair_rounds): when bans
   /// leave pairs of the answered context under-replicated, stages a repair
-  /// round re-posting those pairs as fresh pair-based HITs over the same
-  /// context. Returns true when a repair round is now pending.
+  /// round re-posting those pairs as fresh HITs over the same context, in
+  /// the round's own HIT shape (a session carries one interface: cluster
+  /// rounds repair with two-record cluster HITs). Returns true when a
+  /// repair round is now pending.
   Result<bool> PrepareRepairRound();
   Status Finalize();
 

@@ -181,8 +181,9 @@ struct WorkflowConfig {
   crowd::ApprovalRateFilterOptions filter;
   /// Fault tolerance for banned work: after a round whose bans (cumulative)
   /// leave pairs with fewer surviving votes than `crowd.assignments_per_hit`,
-  /// the driver re-posts those pairs as fresh pair-based HITs — at most this
-  /// many repair rounds per original round — so revision does not starve
+  /// the driver re-posts those pairs as fresh HITs of the round's own shape
+  /// (packed pair HITs, or one two-record cluster HIT per pair) — at most
+  /// this many repair rounds per original round — so revision does not starve
   /// pairs of evidence. Replacement votes come from freshly drawn workers
   /// (who are themselves reviewed, and banned, like any others). Only active
   /// once a filter has banned someone, so default runs are untouched.

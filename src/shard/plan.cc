@@ -32,9 +32,8 @@ Result<ShardPlan> BuildShardPlan(const similarity::JoinInput& input,
   ShardPlan plan;
 
   // The canonical processing order, byte-identical to JoinPlan::by_size:
-  // ranked_size(r) == |sets[r]| (re-ranking permutes tokens, never sizes),
-  // and std::stable_sort over iota breaks ties by record id exactly as
-  // BuildJoinPlan does.
+  // the same std::stable_sort by token-set size over iota, so ties break
+  // by record id exactly as BuildJoinPlan does.
   plan.by_size.resize(n);
   std::iota(plan.by_size.begin(), plan.by_size.end(), 0);
   std::stable_sort(plan.by_size.begin(), plan.by_size.end(), [&](uint32_t x, uint32_t y) {

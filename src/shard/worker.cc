@@ -92,46 +92,31 @@ Result<std::vector<Frame>> ShardWorkerJob::ExecuteOrError(size_t pairs_per_frame
   std::vector<similarity::ScoredPair> out;
   const uint32_t n = static_cast<uint32_t>(input_.sets.size());
   if (n > 0) {
-    // The AllPairs loop of similarity_join.cc with the owned-probe
-    // restriction. The plan re-ranks tokens by LOCAL frequency — a
-    // different bijection than the global join's, which changes candidate
-    // generation but never the verified overlap, sizes, or score (the
-    // order-symmetric lemma of join_internal.h holds under any one total
-    // token order).
+    // The single-process probe kernel, run over the owned positions only;
+    // replicas are indexed but never probe. The plan re-ranks tokens by
+    // LOCAL frequency — a different bijection than the global join's, which
+    // changes candidate generation but never the verified overlap, sizes, or
+    // score (the prefix-filtering lemma holds under any one total token
+    // order).
     const similarity::internal::JoinPlan plan =
         similarity::internal::BuildJoinPlan(input_, options);
-    std::vector<std::vector<uint32_t>> postings(plan.num_ranks);
-    std::vector<uint32_t> candidates;
-    std::vector<char> seen(n, 0);
-    for (uint32_t rec : plan.by_size) {
-      const similarity::TokenSpan tokens = plan.ranked(rec);
-      if (tokens.empty()) continue;
-      const size_t prefix_len = plan.prefix_len[rec];
-      if (owned_[rec]) {
-        const size_t min_partner = plan.min_partner[rec];
-        candidates.clear();
-        for (size_t p = 0; p < prefix_len; ++p) {
-          for (uint32_t other : postings[tokens[p]]) {
-            if (seen[other]) continue;
-            seen[other] = 1;
-            candidates.push_back(other);
-          }
-        }
-        for (uint32_t other : candidates) {
-          seen[other] = 0;
-          if (plan.ranked_size(other) < min_partner) continue;
-          if (!similarity::internal::Admissible(input_, rec, other)) continue;
-          ++stats.pair_verifications;
-          double sim;
-          if (similarity::internal::VerifyPair(options.measure, options.threshold, tokens,
-                                               plan.ranked(other), &sim)) {
-            const uint32_t ga = global_ids_[rec];
-            const uint32_t gb = global_ids_[other];
-            out.push_back({std::min(ga, gb), std::max(ga, gb), sim});
-          }
-        }
+    similarity::JoinStats join_stats;
+    for (size_t begin = 0; begin < n;) {
+      if (!owned_[plan.by_size[begin]]) {
+        ++begin;
+        continue;
       }
-      for (size_t p = 0; p < prefix_len; ++p) postings[tokens[p]].push_back(rec);
+      size_t end = begin + 1;
+      while (end < n && owned_[plan.by_size[end]]) ++end;
+      similarity::internal::ProbePositions(plan, begin, end, &out, &join_stats);
+      begin = end;
+    }
+    stats.pair_verifications = join_stats.pair_verifications;
+    for (similarity::ScoredPair& pair : out) {
+      const uint32_t ga = global_ids_[pair.a];
+      const uint32_t gb = global_ids_[pair.b];
+      pair.a = std::min(ga, gb);
+      pair.b = std::max(ga, gb);
     }
   }
   // Canonical output order: global (a, b) ascending, so every kPairBatch

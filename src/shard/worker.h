@@ -7,11 +7,12 @@
 // never probe. Records arrive in ascending global by_size-position order,
 // so the local processing order is the global order restricted to the
 // slice — the record that probes for a pair locally is exactly the record
-// that probes for it in the single-process join. Combined with
-// internal::VerifyPair being a pure function of (sizes, overlap) — and a
-// token-rank bijection preserving both — every emitted score is bitwise
-// the single-process score, and the emitted pair set is exactly the pairs
-// this shard owns (probe side owned ⇔ later endpoint owned).
+// that probes for it in the single-process join. Both run the same probe
+// kernel (similarity/join_internal.h), whose score is a pure function of
+// (sizes, overlap) — and a token-rank bijection preserves both — so every
+// emitted score is bitwise the single-process score, and the emitted pair
+// set is exactly the pairs this shard owns (probe side owned ⇔ later
+// endpoint owned).
 #ifndef CROWDER_SHARD_WORKER_H_
 #define CROWDER_SHARD_WORKER_H_
 

@@ -4,15 +4,14 @@
 // AllPairsJoin (and hence NaiveJoin) at any thread count, chunk size, and
 // block size; the join-equivalence property test sweeps this contract.
 //
-// How parallelism preserves the serial semantics: the serial join processes
-// records in size order, probing an index of earlier records. Here the full
-// prefix index is built once up front (token rank -> positions in the same
-// size order, ascending), workers probe disjoint position ranges against it
-// read-only, and each probe only accepts partners at *earlier* positions —
-// exactly the pairs the serial interleaved build would have found. Scores
-// come from the same SetSimilarity call, per-chunk outputs are concatenated
-// in chunk order, and the final SortPairs canonicalizes: determinism by
-// construction, not by locking.
+// How parallelism preserves the serial semantics: every variant drives the
+// same probe kernel (internal::ProbePositions in join_internal.h) over the
+// same prefix index, built once up front and read-only afterwards. Workers
+// probe disjoint ranges of the size-ordered positions, and each probe only
+// accepts partners at *earlier* positions, so each pair is found once, by
+// its later endpoint, with the kernel's own score. Per-chunk outputs are
+// concatenated in chunk order and the final SortPairs canonicalizes:
+// determinism by construction, not by locking.
 #ifndef CROWDER_SIMILARITY_PARALLEL_JOIN_H_
 #define CROWDER_SIMILARITY_PARALLEL_JOIN_H_
 
@@ -40,8 +39,8 @@ struct ParallelJoinOptions {
   uint32_t block_records = 4096;
 };
 
-/// \brief Sharded parallel AllPairs join: workers probe disjoint record
-/// ranges over a shared read-only inverted index. Same output as
+/// \brief Parallel AllPairs join: workers probe disjoint position ranges
+/// over the shared read-only prefix index. Same output as
 /// AllPairsJoin, byte-identical after the included SortPairs.
 Result<std::vector<ScoredPair>> ParallelAllPairsJoin(
     const JoinInput& input, const JoinOptions& options,

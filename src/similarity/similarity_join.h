@@ -46,13 +46,25 @@ struct JoinOptions {
 };
 
 /// \brief Observability counters a join fills when handed one (purely
-/// additive — never part of the result or the byte-identity contract). The
-/// join benches report pair_verifications/s so kernel-level regressions show
-/// up without an end-to-end run.
+/// additive — never part of the result or the byte-identity contract). Each
+/// is a pure function of (input, options): identical at every thread count,
+/// chunk size and block size. The join benches report them so kernel-level
+/// regressions show up without an end-to-end run.
 struct JoinStats {
   /// Candidate pairs that reached the verify step (an intersection was
   /// computed, fully or until the threshold-aware early exit).
   uint64_t pair_verifications = 0;
+  /// Prefix-index postings the probes read (after the size filter).
+  uint64_t postings_scanned = 0;
+  /// Distinct pairs the probes touched, before the positional filter.
+  uint64_t candidates = 0;
+
+  JoinStats& operator+=(const JoinStats& other) {
+    pair_verifications += other.pair_verifications;
+    postings_scanned += other.postings_scanned;
+    candidates += other.candidates;
+    return *this;
+  }
 };
 
 /// \brief Reference implementation: compares every admissible pair.
@@ -63,10 +75,11 @@ struct JoinStats {
 Result<std::vector<ScoredPair>> NaiveJoin(const JoinInput& input, const JoinOptions& options,
                                           JoinStats* stats = nullptr);
 
-/// \brief AllPairs-style prefix-filtering join with an inverted index over
-/// rare-token prefixes and a size filter. Produces exactly the same pairs as
-/// NaiveJoin (property-tested), typically orders of magnitude faster at
-/// realistic thresholds.
+/// \brief Prefix-filtering join (PPJoin: an inverted index over rare-token
+/// prefixes with size, positional and suffix-only verification filters).
+/// Produces exactly the same pairs and scores as NaiveJoin
+/// (property-tested), typically orders of magnitude faster at realistic
+/// thresholds.
 Result<std::vector<ScoredPair>> AllPairsJoin(const JoinInput& input, const JoinOptions& options,
                                              JoinStats* stats = nullptr);
 

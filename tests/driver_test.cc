@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/driver.h"
@@ -494,6 +495,62 @@ TEST(AsyncCrowdTest, AsyncBackendFinishWithUndeliveredVotesIsRejected) {
   ASSERT_TRUE(async.Drain().ok());
   crowd::VoteBatch rest = async.Poll(ticket).ValueOrDie();
   EXPECT_TRUE(rest.complete);
+}
+
+// ---------------------------------------------------------------------------
+// Repair rounds on cluster-HIT sessions. A crowd session carries one HIT
+// interface from its first HIT on, so when bans leave pairs short of votes
+// the driver must re-post them as cluster HITs (two records, exactly the
+// starved pair) — never as pair HITs the session would refuse.
+// ---------------------------------------------------------------------------
+
+TEST(RepairRoundTest, ClusterSessionsRepairWithClusterHitsInBothModes) {
+  const auto dataset = SmallRestaurant();
+  for (const bool streaming : {false, true}) {
+    WorkflowConfig config = BaseConfig();
+    config.hit_type = HitType::kClusterBased;
+    // A fifth of the pool answers blindly (the CLI's --spammer-fraction 0.2).
+    config.crowd.reliable_fraction = 0.66 * 0.8 / 0.92;
+    config.crowd.noisy_fraction = 0.26 * 0.8 / 0.92;
+    if (streaming) {
+      config.execution_mode = ExecutionMode::kStreaming;
+      config.crowd_partition_pairs = 64;
+      config.memory_budget_bytes = 1024;
+    }
+    const std::string context = streaming ? "streaming" : "materialized";
+    auto undefended = HybridWorkflow(config).Run(dataset);
+    ASSERT_TRUE(undefended.ok()) << context << ": " << undefended.status().ToString();
+
+    config.filter_workers = true;
+    auto via_run = HybridWorkflow(config).Run(dataset);
+    ASSERT_TRUE(via_run.ok()) << context << ": " << via_run.status().ToString();
+    EXPECT_FALSE(via_run->filtered_workers.empty()) << context;
+    // The repairs were posted: more HITs than the undefended run.
+    EXPECT_GT(via_run->crowd_stats.num_hits, undefended->crowd_stats.num_hits) << context;
+
+    // The manual loop sees only cluster-shaped batches and reproduces Run.
+    crowd::SimulatedCrowdOptions options;
+    auto backend = crowd::SimulatedCrowdBackend::Create(config.crowd, config.seed,
+                                                        dataset.truth.entity_of, options)
+                       .ValueOrDie();
+    WorkflowDriver driver(config);
+    ASSERT_TRUE(driver.Start(dataset).ok());
+    while (!driver.done()) {
+      const crowd::HitBatch& batch = driver.PendingHits();
+      ASSERT_EQ(batch.pair_hits, nullptr) << context;
+      ASSERT_NE(batch.cluster_hits, nullptr) << context;
+      const auto ticket = backend->Post(batch);
+      ASSERT_TRUE(ticket.ok()) << context << ": " << ticket.status().ToString();
+      auto votes = backend->Poll(*ticket);
+      ASSERT_TRUE(votes.ok()) << context;
+      ASSERT_TRUE(driver.SubmitVotes(std::move(votes).ValueOrDie()).ok()) << context;
+      ASSERT_TRUE(driver.Step().ok()) << context;
+    }
+    ASSERT_TRUE(driver.SubmitCrowdStats(backend->Finish().ValueOrDie()).ok());
+    auto via_driver = driver.TakeResult();
+    ASSERT_TRUE(via_driver.ok()) << context;
+    ExpectBitwiseEqual(*via_run, *via_driver);
+  }
 }
 
 // ---------------------------------------------------------------------------

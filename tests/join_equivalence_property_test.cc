@@ -12,13 +12,17 @@
 //     thread count, chunk size, and block size (the parallel dimension of
 //     the sweep rotates through {1, 2, 4, 7} threads and tiny-to-large
 //     chunks/blocks so scheduling churn can never leak into the output).
+//   * The JoinStats work counters are identical at every such split.
 //
 // Unlike the curated cases in similarity_join_test.cc, every dimension here
 // is drawn at random from a master seed: input size, vocabulary size, token
 // distribution, record length (including empty sets), self- vs cross-source
 // joins, all four set measures, and thresholds across [0, 1]. This is the
 // sweep that caught NaiveJoin emitting empty-empty pairs at positive
-// thresholds (fixed; see CHANGES.md).
+// thresholds (fixed; see CHANGES.md). A few curated cases at the end aim at
+// the probe kernel's own edges: source labels that are many-valued,
+// negative and non-dense (the source-grouped prefix index), and last
+// matches on the last token of a span (suffix-only verification).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -329,6 +333,141 @@ TEST(JoinEquivalenceProperty, ZeroThresholdStillEquivalentAcrossJoins) {
     ASSERT_TRUE(naive.ok() && all_pairs.ok()) << context;
     ASSERT_NO_FATAL_FAILURE(
         ExpectSamePairs(*naive, *all_pairs, /*compare_scores=*/true, "AllPairsJoin", context));
+  }
+}
+
+// Every join driver (serial, parallel, blocked) against the reference, with
+// bitwise scores, for one input and options.
+void ExpectAllDriversMatchNaive(const JoinInput& input, const JoinOptions& options,
+                                const ParallelJoinOptions& exec_options,
+                                const std::string& context) {
+  auto naive = NaiveJoin(input, options);
+  auto all_pairs = AllPairsJoin(input, options);
+  auto parallel = ParallelAllPairsJoin(input, options, exec_options);
+  auto blocked = BlockedAllPairsJoin(input, options, exec_options);
+  ASSERT_TRUE(naive.ok() && all_pairs.ok() && parallel.ok() && blocked.ok()) << context;
+  for (const auto* variant : {&*all_pairs, &*parallel, &*blocked}) {
+    ASSERT_EQ(naive->size(), variant->size()) << context;
+    for (size_t i = 0; i < naive->size(); ++i) {
+      ASSERT_EQ((*naive)[i].a, (*variant)[i].a) << context;
+      ASSERT_EQ((*naive)[i].b, (*variant)[i].b) << context;
+      ASSERT_EQ((*naive)[i].score, (*variant)[i].score) << context;  // bitwise
+    }
+  }
+}
+
+TEST(JoinEquivalenceProperty, ManyNegativeNonDenseSourceLabels) {
+  // The prefix index groups each token's postings by source label, and a
+  // probe skips its own label's group. Labels here take four values, two
+  // negative, none adjacent, drawn in no particular order — every grouping
+  // boundary the index can have.
+  static const int kLabels[] = {-7, 1000, 3, -2};
+  static const double kThresholds[] = {0.1, 0.3, 0.5, 0.8};
+  Rng master(777);
+  for (SetMeasure measure : {SetMeasure::kJaccard, SetMeasure::kDice, SetMeasure::kCosine,
+                             SetMeasure::kOverlapCoefficient}) {
+    for (double threshold : kThresholds) {
+      for (uint32_t num_labels : {3u, 4u}) {
+        RandomCase c = DrawCase(&master);
+        c.n = 150;
+        c.vocab = 40;
+        c.two_sources = false;
+        JoinInput input = GenerateInput(c);
+        Rng label_rng(c.seed ^ 0x5eed);
+        for (size_t i = 0; i < input.sets.size(); ++i) {
+          input.sources.push_back(kLabels[label_rng.Uniform(num_labels)]);
+        }
+        JoinOptions options;
+        options.measure = measure;
+        options.threshold = threshold;
+        ParallelJoinOptions exec_options;
+        exec_options.num_threads = 3;
+        exec_options.chunk_size = 5;
+        exec_options.block_records = 32;
+        const std::string context = c.Describe() + " labels=" + std::to_string(num_labels) +
+                                    " measure=" + std::to_string(static_cast<int>(measure)) +
+                                    " threshold=" + std::to_string(threshold);
+        ASSERT_NO_FATAL_FAILURE(ExpectAllDriversMatchNaive(input, options, exec_options, context));
+      }
+    }
+  }
+}
+
+TEST(JoinEquivalenceProperty, WorkCountersAreIndependentOfTheSplit) {
+  // pair_verifications, postings_scanned and candidates are functions of
+  // (input, options) only: the serial join, every thread count, chunk size
+  // and block size must report the same three numbers.
+  Rng master(31337);
+  for (bool two_sources : {false, true}) {
+    RandomCase c = DrawCase(&master);
+    c.n = 400;
+    c.vocab = 60;
+    c.two_sources = two_sources;
+    const JoinInput input = GenerateInput(c);
+    JoinOptions options;
+    options.measure = c.measure;
+    options.threshold = 0.3;
+    JoinStats serial;
+    ASSERT_TRUE(AllPairsJoin(input, options, &serial).ok());
+    ASSERT_GT(serial.pair_verifications, 0u) << c.Describe();
+    ASSERT_GE(serial.postings_scanned, serial.candidates) << c.Describe();
+    ASSERT_GE(serial.candidates, serial.pair_verifications) << c.Describe();
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      for (uint32_t chunk : {1u, 7u, 256u}) {
+        for (uint32_t block : {1u, 16u, 4096u}) {
+          ParallelJoinOptions exec_options;
+          exec_options.num_threads = threads;
+          exec_options.chunk_size = chunk;
+          exec_options.block_records = block;
+          const std::string context = c.Describe() + " threads=" + std::to_string(threads) +
+                                      " chunk=" + std::to_string(chunk) +
+                                      " block=" + std::to_string(block);
+          JoinStats parallel, blocked;
+          ASSERT_TRUE(ParallelAllPairsJoin(input, options, exec_options, &parallel).ok());
+          ASSERT_TRUE(BlockedAllPairsJoin(input, options, exec_options, &blocked).ok());
+          for (const JoinStats* stats : {&parallel, &blocked}) {
+            EXPECT_EQ(stats->pair_verifications, serial.pair_verifications) << context;
+            EXPECT_EQ(stats->postings_scanned, serial.postings_scanned) << context;
+            EXPECT_EQ(stats->candidates, serial.candidates) << context;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(JoinEquivalenceProperty, LastProbeTokenSharedAtTheEndOfTheSpan) {
+  // Suffix-only verification intersects what follows the last matched
+  // positions. Here every record ends in the same token — the most frequent
+  // one, so it ranks last in every span — and the records are short enough
+  // that low thresholds probe them whole: the last match sits on the last
+  // token of both spans, leaving two empty suffixes (views one past the end
+  // of a span, at the arena's end for the largest record). Identical
+  // records and records that are a prefix of others cover the rest of the
+  // edge: every subset of five tokens, plus the common tail token.
+  JoinInput input;
+  for (uint32_t mask = 1; mask < 32; ++mask) {
+    std::vector<text::TokenId> tokens = {100};
+    for (uint32_t bit = 0; bit < 5; ++bit) {
+      if (mask & (1u << bit)) tokens.push_back(bit);
+    }
+    input.sets.push_back(MakeTokenSet(tokens));
+    input.sets.push_back(MakeTokenSet(tokens));  // an identical twin
+  }
+  ParallelJoinOptions exec_options;
+  exec_options.num_threads = 2;
+  exec_options.chunk_size = 3;
+  exec_options.block_records = 8;
+  for (SetMeasure measure : {SetMeasure::kJaccard, SetMeasure::kDice, SetMeasure::kCosine,
+                             SetMeasure::kOverlapCoefficient}) {
+    for (double threshold : {0.05, 0.2, 0.5, 0.75, 1.0}) {
+      JoinOptions options;
+      options.measure = measure;
+      options.threshold = threshold;
+      const std::string context = "measure=" + std::to_string(static_cast<int>(measure)) +
+                                  " threshold=" + std::to_string(threshold);
+      ASSERT_NO_FATAL_FAILURE(ExpectAllDriversMatchNaive(input, options, exec_options, context));
+    }
   }
 }
 
