@@ -15,7 +15,7 @@ namespace {
 void RunDataset(const data::Dataset& dataset) {
   Banner("Ablation: SCC packing strategy (k=10) — " + dataset.name);
   eval::TablePrinter table({"Threshold", "#SCCs", "ILP bins", "FFD bins", "no packing",
-                            "LP bound", "ILP optimal?"});
+                            "LP bound", "ILP optimal?", "B&B nodes"});
   for (double threshold : {0.4, 0.3, 0.2, 0.1}) {
     const auto pairs = MachinePairs(dataset, threshold);
     graph::PairGraph graph = BuildGraph(dataset, pairs);
@@ -49,7 +49,7 @@ void RunDataset(const data::Dataset& dataset) {
     table.AddRow({FormatDouble(threshold, 1), WithThousands(sccs.size()),
                   WithThousands(ilp_hits.size()), WithThousands(ffd_hits.size()),
                   WithThousands(none_hits.size()), FormatDouble(cs.lp_bound, 1),
-                  cs.proven_optimal ? "yes" : "no"});
+                  cs.proven_optimal ? "yes" : "no", WithThousands(cs.bb_nodes)});
   }
   std::cout << table.Render();
 }

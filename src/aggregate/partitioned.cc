@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/logging.h"
 
@@ -79,28 +80,97 @@ Status MajorityVoteSharded(
   return Status::OK();
 }
 
-double PosteriorMatchProbability(const std::vector<Vote>& pair_votes,
-                                 const DawidSkeneModel& model) {
-  if (pair_votes.empty()) return kUnjudgedMatchProbability;
-  // No EM iteration ran (no votes anywhere): the posterior is the
-  // initialization, i.e. the majority fraction.
-  if (model.workers.empty()) return MajorityMatchProbability(pair_votes);
-  double log_pos = std::log(model.class_prior);
-  double log_neg = std::log(1.0 - model.class_prior);
-  for (const Vote& v : pair_votes) {
-    const WorkerQuality& w = model.workers.at(v.worker_id);
-    if (v.says_match) {
-      log_pos += std::log(w.sensitivity);
-      log_neg += std::log(1.0 - w.specificity);
+uint32_t WorkerSlots::Insert(uint32_t id) {
+  const uint32_t found = Find(id);
+  if (found != kNone) return found;
+  const auto slot = static_cast<uint32_t>(ids_.size());
+  ids_.push_back(id);
+  // The flat table grows (at least doubling, so migrations stay
+  // logarithmic) only to cover ids below a bound linear in the worker
+  // count; its size therefore stays O(#workers) too.
+  constexpr size_t kMinDirect = 1024;
+  if (id >= direct_.size() && id < kMinDirect + 4 * ids_.size()) {
+    const size_t grown = std::max<size_t>(static_cast<size_t>(id) + 1, 2 * direct_.size());
+    direct_.resize(grown, kNone);
+    for (auto it = sparse_.begin(); it != sparse_.end();) {
+      if (it->first < grown) {
+        direct_[it->first] = it->second;
+        it = sparse_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  if (id < direct_.size()) {
+    direct_[id] = slot;
+  } else {
+    sparse_.emplace(id, slot);
+  }
+  return slot;
+}
+
+namespace {
+
+// The E-step: the posterior of one voted pair under `model`, where vote i
+// was cast by the worker at slot slot_of(i). The log terms are the ones a
+// per-vote loop would take (log(sensitivity), ...), precomputed per worker,
+// and they are summed in vote order, so the result is bitwise that loop's.
+template <typename SlotOf>
+double EStep(const std::vector<Vote>& pair_votes, const DawidSkeneModel& model,
+             SlotOf slot_of) {
+  double log_pos = model.log_prior_match;
+  double log_neg = model.log_prior_non_match;
+  for (size_t i = 0; i < pair_votes.size(); ++i) {
+    const WorkerLogTerms& w = model.log_terms[slot_of(i)];
+    if (pair_votes[i].says_match) {
+      log_pos += w.yes_if_match;
+      log_neg += w.yes_if_non_match;
     } else {
-      log_pos += std::log(1.0 - w.sensitivity);
-      log_neg += std::log(w.specificity);
+      log_pos += w.no_if_match;
+      log_neg += w.no_if_non_match;
     }
   }
   const double m = std::max(log_pos, log_neg);
   const double pos = std::exp(log_pos - m);
   const double neg = std::exp(log_neg - m);
   return pos / (pos + neg);
+}
+
+// One worker's M-step statistics over one pass.
+struct WorkerSums {
+  double sens = 0.0;  // posterior mass of its yes votes
+  double spec = 0.0;  // non-match mass of its no votes
+  double pos = 0.0;   // posterior mass of all its votes
+  double neg = 0.0;   // non-match mass of all its votes
+  uint32_t votes = 0;
+};
+
+// Turns a loop model (dense estimates only) into the published one: the
+// id-keyed estimates and the slot map the E-step resolves ids through.
+DawidSkeneModel Publish(DawidSkeneModel model, const std::vector<WorkerQuality>& quality,
+                        WorkerSlots slots) {
+  model.workers.reserve(quality.size());
+  for (uint32_t slot = 0; slot < quality.size(); ++slot) {
+    model.workers.emplace(slots.id(slot), quality[slot]);
+  }
+  model.slots = std::move(slots);
+  return model;
+}
+
+}  // namespace
+
+double PosteriorMatchProbability(const std::vector<Vote>& pair_votes,
+                                 const DawidSkeneModel& model) {
+  if (pair_votes.empty()) return kUnjudgedMatchProbability;
+  // No EM iteration ran (no votes anywhere): the posterior is the
+  // initialization, i.e. the majority fraction.
+  if (model.log_terms.empty()) return MajorityMatchProbability(pair_votes);
+  return EStep(pair_votes, model, [&](size_t i) {
+    const uint32_t slot = model.slots.Find(pair_votes[i].worker_id);
+    CROWDER_CHECK(slot != WorkerSlots::kNone)
+        << "worker " << pair_votes[i].worker_id << " is not in the model";
+    return slot;
+  });
 }
 
 Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
@@ -122,22 +192,24 @@ Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
 
   // The EM loop, restructured around one shard pass per iteration. The
   // posterior of a pair is a pure function of (its votes, the model of the
-  // previous iteration) — the exact E-step arithmetic lives in
-  // PosteriorMatchProbability — so pass t recomputes every posterior from
-  // `prev` (= params_{t-1}; the majority initialization when t == 0) while
+  // previous iteration), so pass t recomputes every posterior from `prev`
+  // (= params_{t-1}; the majority initialization when t == 0) while
   // accumulating the M-step statistics that finalize params_t. Convergence
   // is the materialized loop's criterion, recovered one model late: the
   // E-step delta of iteration t-1 is max |E(params_{t-1}) - E(params_{t-2})|,
   // both recomputable during pass t from `prev` and `older`.
+  //
+  // Workers get dense slots in first-seen order during pass 0; every later
+  // pass sees the same votes, so it only looks the slots up.
+  WorkerSlots slots;
   DawidSkeneModel prev;   // params_{t-1}; meaningful from t >= 1
   DawidSkeneModel older;  // params_{t-2}; meaningful from t >= 2
+  std::vector<WorkerQuality> prev_quality;  // params_{t-1} per slot
+  std::vector<WorkerSums> sums;  // per slot
+  std::vector<uint32_t> vote_slots;  // slot of each vote of the current pair
 
   for (int t = 0;; ++t) {
-    std::unordered_map<uint32_t, double> sens_sum;
-    std::unordered_map<uint32_t, double> spec_sum;
-    std::unordered_map<uint32_t, double> pos_mass;
-    std::unordered_map<uint32_t, double> neg_mass;
-    std::unordered_map<uint32_t, uint32_t> vote_count;
+    sums.assign(slots.size(), WorkerSums{});
     double prior_num = 0.0;
     size_t judged = 0;
     double max_delta = 0.0;
@@ -146,23 +218,40 @@ Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
       CROWDER_RETURN_NOT_OK(shards->WithShard(shard, [&](const VoteTable& table) {
         for (const auto& pair_votes : table) {
           if (pair_votes.empty()) continue;
+          vote_slots.resize(pair_votes.size());
+          for (size_t i = 0; i < pair_votes.size(); ++i) {
+            const uint32_t id = pair_votes[i].worker_id;
+            if (t == 0) {
+              vote_slots[i] = slots.Insert(id);
+              if (vote_slots[i] == sums.size()) sums.emplace_back();
+            } else {
+              vote_slots[i] = slots.Find(id);
+              if (vote_slots[i] == WorkerSlots::kNone) {
+                return Status::Internal("worker " + std::to_string(id) +
+                                        " appeared after the first EM pass; vote shards "
+                                        "must be identical on every load");
+              }
+            }
+          }
+          const auto slot_of = [&](size_t i) { return vote_slots[i]; };
           const double p = t == 0 ? MajorityMatchProbability(pair_votes)
-                                  : PosteriorMatchProbability(pair_votes, prev);
+                                  : EStep(pair_votes, prev, slot_of);
           if (t >= 1) {
             const double p_old = t == 1 ? MajorityMatchProbability(pair_votes)
-                                        : PosteriorMatchProbability(pair_votes, older);
+                                        : EStep(pair_votes, older, slot_of);
             max_delta = std::max(max_delta, std::fabs(p - p_old));
           }
           ++judged;
           prior_num += p;
-          for (const Vote& v : pair_votes) {
-            ++vote_count[v.worker_id];
-            pos_mass[v.worker_id] += p;
-            neg_mass[v.worker_id] += 1.0 - p;
-            if (v.says_match) {
-              sens_sum[v.worker_id] += p;
+          for (size_t i = 0; i < pair_votes.size(); ++i) {
+            WorkerSums& w = sums[vote_slots[i]];
+            ++w.votes;
+            w.pos += p;
+            w.neg += 1.0 - p;
+            if (pair_votes[i].says_match) {
+              w.sens += p;
             } else {
-              spec_sum[v.worker_id] += 1.0 - p;
+              w.spec += 1.0 - p;
             }
           }
         }
@@ -178,25 +267,34 @@ Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
     }
     if (t >= 1 && max_delta < options.tolerance) {
       prev.converged = true;  // prev.iterations == t already
-      return prev;
+      return Publish(std::move(prev), prev_quality, std::move(slots));
     }
     if (t == options.max_iterations) {
-      return prev;  // params_{max-1}, iterations == max, converged == false
+      // params_{max-1}, iterations == max, converged == false
+      return Publish(std::move(prev), prev_quality, std::move(slots));
     }
 
-    // Finalize params_t (the materialized loop's M-step normalization).
+    // Finalize params_t (the materialized loop's M-step normalization) and
+    // take the E-step's logs once per worker.
     DawidSkeneModel next;
     next.class_prior =
         std::clamp((prior_num + s) / (static_cast<double>(judged) + 2.0 * s), 0.01, 0.99);
-    next.workers.reserve(vote_count.size());
-    for (const auto& [id, count] : vote_count) {
-      WorkerQuality w;
-      w.num_votes = count;
-      w.sensitivity = (sens_sum[id] + good) / (pos_mass[id] + good + bad);
-      w.specificity = (spec_sum[id] + good) / (neg_mass[id] + good + bad);
-      w.sensitivity = std::clamp(w.sensitivity, 1e-4, 1.0 - 1e-4);
-      w.specificity = std::clamp(w.specificity, 1e-4, 1.0 - 1e-4);
-      next.workers.emplace(id, w);
+    next.log_prior_match = std::log(next.class_prior);
+    next.log_prior_non_match = std::log(1.0 - next.class_prior);
+    next.log_terms.resize(slots.size());
+    prev_quality.resize(slots.size());
+    for (uint32_t w = 0; w < slots.size(); ++w) {
+      WorkerQuality& q = prev_quality[w];
+      q.num_votes = sums[w].votes;
+      q.sensitivity = (sums[w].sens + good) / (sums[w].pos + good + bad);
+      q.specificity = (sums[w].spec + good) / (sums[w].neg + good + bad);
+      q.sensitivity = std::clamp(q.sensitivity, 1e-4, 1.0 - 1e-4);
+      q.specificity = std::clamp(q.specificity, 1e-4, 1.0 - 1e-4);
+      WorkerLogTerms& terms = next.log_terms[w];
+      terms.yes_if_match = std::log(q.sensitivity);
+      terms.yes_if_non_match = std::log(1.0 - q.specificity);
+      terms.no_if_match = std::log(1.0 - q.sensitivity);
+      terms.no_if_non_match = std::log(q.specificity);
     }
     next.iterations = t + 1;
     older = std::move(prev);

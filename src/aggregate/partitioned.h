@@ -131,6 +131,46 @@ Status MajorityVoteSharded(
     VoteShardSource* shards,
     const std::function<Status(size_t shard, const std::vector<double>&)>& emit);
 
+/// \brief Worker ids mapped to dense slots `[0, size())` in first-seen
+/// order: how the EM indexes its per-worker state. Ids below a bound linear
+/// in the number of workers resolve through a flat table, the rest through
+/// a hash map, so a sparse or hostile id space (ids near UINT32_MAX from a
+/// replayed vote log) costs O(#workers) memory, never O(max id).
+class WorkerSlots {
+ public:
+  /// \brief What Find returns for an id that has no slot.
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// \brief The slot of `id`, or kNone.
+  uint32_t Find(uint32_t id) const {
+    if (id < direct_.size()) return direct_[id];
+    const auto it = sparse_.find(id);
+    return it == sparse_.end() ? kNone : it->second;
+  }
+
+  /// \brief The slot of `id`, assigning the next free one on first sight.
+  uint32_t Insert(uint32_t id);
+
+  /// \brief Number of slots assigned.
+  size_t size() const { return ids_.size(); }
+  /// \brief The worker id holding `slot`.
+  uint32_t id(uint32_t slot) const { return ids_[slot]; }
+
+ private:
+  std::vector<uint32_t> direct_;                    // id -> slot or kNone
+  std::unordered_map<uint32_t, uint32_t> sparse_;  // ids past direct_
+  std::vector<uint32_t> ids_;                       // slot -> id
+};
+
+/// \brief The four log-probabilities one worker's vote can add to a pair's
+/// E-step, computed once per fitted model instead of once per vote.
+struct WorkerLogTerms {
+  double yes_if_match = 0.0;      ///< log(sensitivity)
+  double yes_if_non_match = 0.0;  ///< log(1 - specificity)
+  double no_if_match = 0.0;       ///< log(1 - sensitivity)
+  double no_if_non_match = 0.0;   ///< log(specificity)
+};
+
 /// \brief A fitted Dawid-Skene model: everything EM learns except the
 /// per-pair posteriors (recover those with `PosteriorMatchProbability`).
 struct DawidSkeneModel {
@@ -142,6 +182,15 @@ struct DawidSkeneModel {
   int iterations = 0;
   /// Whether the posterior change fell below the tolerance.
   bool converged = false;
+
+  /// What the E-step reads, derived from the estimates above when EM
+  /// finalizes them: each worker's log terms at its slot in `slots`, and
+  /// the logs of the class prior. Empty when no EM iteration ran.
+  WorkerSlots slots;
+  /// Indexed by worker slot.
+  std::vector<WorkerLogTerms> log_terms;
+  double log_prior_match = 0.0;      ///< log(class_prior)
+  double log_prior_non_match = 0.0;  ///< log(1 - class_prior)
 };
 
 /// \brief Fits Dawid-Skene by EM over the shard sequence, holding one shard
@@ -153,20 +202,22 @@ struct DawidSkeneModel {
 /// The deliberate trade of the recompute formulation: each pass evaluates
 /// the E-step arithmetic up to twice per voted pair (current and previous
 /// model, for the convergence delta) where a stored-posterior loop would
-/// evaluate once — roughly doubling EM compute to eliminate the O(|P|)
+/// evaluate once — roughly doubling E-step compute to eliminate the O(|P|)
 /// posterior vector and keep ONE implementation for both execution modes.
-/// EM is a negligible slice of workflow wall-time (the machine pass
-/// dominates by orders of magnitude; see BENCH_e2e_stream.json), so the
-/// simplicity wins.
+/// EM is not a negligible slice of a crowd-heavy run (it rivals HIT
+/// generation), so the per-vote work is kept to table reads and adds: worker
+/// ids are resolved to dense slots once per vote and pass, the four logs per
+/// worker are taken once per model, and the M-step accumulates into flat
+/// per-slot arrays — the same doubles summed in the same order as a
+/// per-vote map-and-log loop, so every estimate is bitwise unchanged.
 Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
                                              const DawidSkeneOptions& options = {});
 
-/// \brief The E-step posterior of one pair under a fitted model — exactly
-/// the arithmetic the EM loop uses, exposed so posteriors can be
-/// re-materialized shard-by-shard. Voteless pairs get
-/// `kUnjudgedMatchProbability`. `model.workers` must contain every worker
-/// appearing in `pair_votes`; an empty model (no EM iteration ran) falls
-/// back to `MajorityMatchProbability`.
+/// \brief The E-step posterior of one pair under a fitted model — the same
+/// E-step the EM loop runs, exposed so posteriors can be re-materialized
+/// shard-by-shard. Voteless pairs get `kUnjudgedMatchProbability`. The model
+/// must hold every worker appearing in `pair_votes` (checked); an empty
+/// model (no EM iteration ran) falls back to `MajorityMatchProbability`.
 double PosteriorMatchProbability(const std::vector<Vote>& pair_votes,
                                  const DawidSkeneModel& model);
 

@@ -17,6 +17,7 @@ PairGraphBuilder::PairGraphBuilder(uint32_t num_vertices) {
   graph_.num_vertices_ = num_vertices;
   graph_.adjacency_.resize(num_vertices);
   graph_.alive_degree_.assign(num_vertices, 0);
+  graph_.member_.assign(num_vertices, 0);
 }
 
 Status PairGraphBuilder::Add(const std::vector<Edge>& batch) {
@@ -93,19 +94,19 @@ bool PairGraph::RemoveEdge(uint32_t u, uint32_t v) {
 }
 
 size_t PairGraph::RemoveEdgesCoveredBy(const std::vector<uint32_t>& vertices) {
-  // Membership bitmap sized to the graph; HIT sizes are tiny relative to n,
-  // but the bitmap keeps this O(sum degree of members).
-  std::vector<char> member(num_vertices_, 0);
+  // Mark the members in the graph-owned scratch bitmap, sweep their
+  // adjacency, then clear exactly the marks set: O(sum degree of members),
+  // with no per-call allocation or graph-sized fill.
   for (uint32_t v : vertices) {
     CROWDER_CHECK_LT(static_cast<size_t>(v), static_cast<size_t>(num_vertices_));
-    member[v] = 1;
+    member_[v] = 1;
   }
   size_t removed = 0;
   for (uint32_t v : vertices) {
     for (uint32_t eid : adjacency_[v]) {
       if (!alive_[eid]) continue;
       const Edge& e = edges_[eid];
-      if (member[e.a] && member[e.b]) {
+      if (member_[e.a] && member_[e.b]) {
         alive_[eid] = 0;
         --alive_degree_[e.a];
         --alive_degree_[e.b];
@@ -114,6 +115,7 @@ size_t PairGraph::RemoveEdgesCoveredBy(const std::vector<uint32_t>& vertices) {
       }
     }
   }
+  for (uint32_t v : vertices) member_[v] = 0;
   return removed;
 }
 

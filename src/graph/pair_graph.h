@@ -91,6 +91,7 @@ class PairGraph {
 
   /// \brief Removes every alive edge with both endpoints inside `vertices`
   /// ("the edges covered by" a HIT). Returns how many were removed.
+  /// Costs O(sum of the members' original degrees).
   size_t RemoveEdgesCoveredBy(const std::vector<uint32_t>& vertices);
 
   /// \brief Revives all edges (undoes every removal).
@@ -125,6 +126,8 @@ class PairGraph {
   std::vector<uint32_t> alive_degree_;
   std::unordered_map<uint64_t, uint32_t> edge_index_;  // Key(a,b) -> edge id
   size_t num_alive_ = 0;
+  // RemoveEdgesCoveredBy's membership marks; all zero between calls.
+  std::vector<char> member_;
 };
 
 /// \brief Incremental PairGraph construction from edge batches — the shape

@@ -8,31 +8,68 @@ namespace hitgen {
 
 namespace {
 
-// Seed vertex for a new part within `lcc`, or -1 when the component has no
-// alive edge left.
-int64_t PickSeed(const graph::PairGraph& graph, const std::vector<uint32_t>& lcc,
-                 PartitionOptions::SeedRule rule) {
-  int64_t best = -1;
-  uint32_t best_degree = 0;
-  for (uint32_t v : lcc) {
-    const uint32_t d = graph.AliveDegree(v);
-    if (d == 0) continue;
-    switch (rule) {
-      case PartitionOptions::SeedRule::kMaxDegree:
-        if (d > best_degree || (d == best_degree && best >= 0 && v < best)) {
-          best_degree = d;
-          best = v;
-        } else if (best < 0) {
-          best_degree = d;
-          best = v;
-        }
-        break;
-      case PartitionOptions::SeedRule::kFirst:
-        return v;  // lcc is ascending, so the first alive vertex is smallest
+// Picks the seed vertex of each new part within one LCC: the alive vertex
+// of maximum alive degree (smallest id on ties), or with SeedRule::kFirst
+// the smallest-id alive vertex; -1 once the component has no alive edge.
+//
+// Inside PartitionLcc degrees only ever fall (edges are removed, never
+// revived), which makes both rules incremental. kMaxDegree keeps a lazy
+// max-heap of (degree, id) entries, one per vertex, each recording a degree
+// at least the vertex's current one: a top entry whose degree is still
+// current beats every other vertex's current degree, and a stale one is
+// re-pushed at its current degree (or dropped at zero). kFirst walks a
+// cursor forward over the ascending LCC, since a vertex that reached degree
+// zero stays there.
+class SeedPicker {
+ public:
+  SeedPicker(const graph::PairGraph& graph, const std::vector<uint32_t>& lcc,
+             PartitionOptions::SeedRule rule)
+      : graph_(graph), lcc_(lcc), rule_(rule) {
+    if (rule_ != PartitionOptions::SeedRule::kMaxDegree) return;
+    heap_.reserve(lcc.size());
+    for (uint32_t v : lcc) {
+      const uint32_t d = graph.AliveDegree(v);
+      if (d > 0) heap_.push_back(Entry(d, v));
     }
+    std::make_heap(heap_.begin(), heap_.end());
   }
-  return best;
-}
+
+  int64_t Next() {
+    if (rule_ == PartitionOptions::SeedRule::kFirst) {
+      while (cursor_ < lcc_.size() && graph_.AliveDegree(lcc_[cursor_]) == 0) ++cursor_;
+      return cursor_ < lcc_.size() ? static_cast<int64_t>(lcc_[cursor_]) : -1;
+    }
+    while (!heap_.empty()) {
+      const uint32_t v = Vertex(heap_.front());
+      const uint32_t d = graph_.AliveDegree(v);
+      if (d == Degree(heap_.front())) return v;
+      std::pop_heap(heap_.begin(), heap_.end());
+      heap_.pop_back();
+      if (d > 0) {
+        heap_.push_back(Entry(d, v));
+        std::push_heap(heap_.begin(), heap_.end());
+      }
+    }
+    return -1;
+  }
+
+ private:
+  // Degree in the high half, inverted id in the low half: the largest key
+  // is the largest degree, then the smallest id.
+  static uint64_t Entry(uint32_t degree, uint32_t v) {
+    return (static_cast<uint64_t>(degree) << 32) | (UINT32_MAX - v);
+  }
+  static uint32_t Degree(uint64_t entry) { return static_cast<uint32_t>(entry >> 32); }
+  static uint32_t Vertex(uint64_t entry) {
+    return UINT32_MAX - static_cast<uint32_t>(entry & UINT32_MAX);
+  }
+
+  const graph::PairGraph& graph_;
+  const std::vector<uint32_t>& lcc_;
+  const PartitionOptions::SeedRule rule_;
+  std::vector<uint64_t> heap_;
+  size_t cursor_ = 0;
+};
 
 }  // namespace
 
@@ -43,13 +80,17 @@ std::vector<std::vector<uint32_t>> PartitionLcc(graph::PairGraph* graph,
   std::vector<char> in_scc(graph->num_vertices(), 0);
   std::vector<char> in_conn(graph->num_vertices(), 0);
   // indegree[r] = alive edges from r into the part under construction,
-  // maintained incrementally as vertices join (keeps each part
-  // O(k·degree + |conn|·k) instead of rescanning adjacency per candidate).
+  // maintained incrementally as vertices join, so candidates are ranked
+  // without rescanning adjacency. Per part: O(log |lcc|) for the seed plus
+  // one heap re-push per stale entry met (at most one per degree drop),
+  // O(k · |conn|) for the candidate scans, and O(sum degree) of the part's
+  // vertices for growing conn and for RemoveEdgesCoveredBy.
   std::vector<uint32_t> indegree(graph->num_vertices(), 0);
+  SeedPicker seeds(*graph, lcc, options.seed_rule);
 
   // Outer loop of Algorithm 2: one highly-connected part per iteration.
   for (;;) {
-    const int64_t seed = PickSeed(*graph, lcc, options.seed_rule);
+    const int64_t seed = seeds.Next();
     if (seed < 0) break;  // no alive edges remain in this component
 
     std::vector<uint32_t> scc{static_cast<uint32_t>(seed)};

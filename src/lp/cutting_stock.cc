@@ -33,22 +33,25 @@ Result<std::vector<std::vector<uint32_t>>> FirstFitDecreasing(
   std::stable_sort(order.begin(), order.end(),
                    [&](uint32_t a, uint32_t b) { return item_sizes[a] > item_sizes[b]; });
 
+  // First fit through a tournament tree over bin slots: tree[node] is the
+  // largest slack in its subtree, and slots past the open bins hold an empty
+  // bin's slack (capacity). The leftmost leaf with slack >= s is then the
+  // first open bin the item fits, or else the next bin to open — the bin the
+  // linear first-fit scan picks, found in O(log items).
+  size_t leaves = 1;
+  while (leaves < item_sizes.size()) leaves <<= 1;
+  std::vector<uint32_t> tree(2 * leaves, capacity);
   std::vector<std::vector<uint32_t>> bins;
-  std::vector<uint32_t> slack;
   for (uint32_t idx : order) {
     const uint32_t s = item_sizes[idx];
-    bool placed = false;
-    for (size_t b = 0; b < bins.size(); ++b) {
-      if (slack[b] >= s) {
-        bins[b].push_back(idx);
-        slack[b] -= s;
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      bins.push_back({idx});
-      slack.push_back(capacity - s);
+    size_t node = 1;
+    while (node < leaves) node = tree[2 * node] >= s ? 2 * node : 2 * node + 1;
+    const size_t bin = node - leaves;
+    if (bin == bins.size()) bins.emplace_back();
+    bins[bin].push_back(idx);
+    tree[node] -= s;
+    for (node >>= 1; node > 0; node >>= 1) {
+      tree[node] = std::max(tree[2 * node], tree[2 * node + 1]);
     }
   }
   return bins;
@@ -118,106 +121,153 @@ Result<double> SolveLpByColumnGeneration(uint32_t capacity,
   return lp_value;
 }
 
-// Enumerates patterns over `remaining` demand that are maximal: no further
-// item (with remaining demand) fits the residual capacity.
-void EnumerateMaximalPatterns(uint32_t capacity, const std::vector<uint32_t>& remaining,
-                              size_t size_index, Pattern* current,
-                              std::vector<Pattern>* out) {
-  if (size_index == static_cast<size_t>(-1) || size_index >= remaining.size()) {
-    // All sizes decided; maximality: no size with remaining demand fits.
-    const uint32_t used = PatternWeight(*current);
-    for (size_t j = 0; j < remaining.size(); ++j) {
-      const uint32_t item = static_cast<uint32_t>(j + 1);
-      if (remaining[j] > (*current)[j] && used + item <= capacity) return;  // extendable
-    }
-    if (used > 0) out->push_back(*current);
-    return;
-  }
-  const uint32_t item = static_cast<uint32_t>(size_index + 1);
-  const uint32_t used = PatternWeight(*current);
-  const uint32_t fit = (capacity - used) / item;
-  const uint32_t max_count = std::min<uint32_t>(remaining[size_index], fit);
-  // Descend sizes from large to small; try larger counts first (greedy-ish
-  // order helps find good incumbents early).
-  for (uint32_t c = max_count;; --c) {
-    (*current)[size_index] = c;
-    EnumerateMaximalPatterns(capacity, remaining,
-                             size_index == 0 ? static_cast<size_t>(-1) : size_index - 1, current,
-                             out);
-    if (c == 0) break;
-  }
-  (*current)[size_index] = 0;
-}
-
-uint32_t SimpleLowerBound(uint32_t capacity, const std::vector<uint32_t>& remaining) {
-  uint64_t total = 0;
-  for (size_t j = 0; j < remaining.size(); ++j) {
-    total += static_cast<uint64_t>(remaining[j]) * (j + 1);
-  }
-  return static_cast<uint32_t>((total + capacity - 1) / capacity);
-}
-
-// Depth-first branch-and-bound: fill one (maximal) bin at a time.
+// Depth-first branch-and-bound: fill one (maximal) bin at a time, fullest
+// candidate bins first. A node is one remaining-demand vector; its moves are
+// the maximal patterns over that demand (no further item with remaining
+// demand fits the residual capacity).
+//
+// The search state lives in flat per-depth buffers reused across nodes
+// (depth d holds the demand, the enumerated moves and their fill order of
+// the node currently open at d), so a node allocates nothing once the
+// buffers have grown to their working size. Levels are sized once per Solve
+// to the deepest possible node — a child is entered only while
+// used_bins + 1 < best <= upper_bound — so no level is ever moved while a
+// shallower one is iterating.
 class BinPackSearch {
  public:
-  BinPackSearch(uint32_t capacity, int node_budget, double eps)
-      : capacity_(capacity), node_budget_(node_budget), eps_(eps) {}
+  BinPackSearch(uint32_t capacity, int node_budget)
+      : capacity_(capacity), node_budget_(node_budget) {}
 
   // Returns the optimal bin count for `demand`, or the incumbent if the node
-  // budget ran out (sets exhausted()). Fills `solution` with one pattern per
-  // bin of the best packing found.
+  // budget cut the search off (sets cut_off()). Fills `solution` with one
+  // pattern per bin of the best packing found, or leaves it empty when
+  // nothing beat `upper_bound`.
   uint32_t Solve(const std::vector<uint32_t>& demand, uint32_t upper_bound,
                  std::vector<Pattern>* solution) {
+    sizes_ = demand.size();
     best_ = upper_bound;
     best_chain_.clear();
-    chain_.clear();
-    Dfs(demand, 0);
-    *solution = best_chain_;
+    levels_.assign(static_cast<size_t>(upper_bound) + 1, Level{});
+    pattern_.assign(sizes_, 0);
+    levels_[0].demand = demand;
+    uint64_t weight = 0;
+    for (size_t j = 0; j < sizes_; ++j) weight += static_cast<uint64_t>(demand[j]) * (j + 1);
+    Dfs(0, weight);
+    solution->clear();
+    for (size_t i = 0; i < best_chain_.size(); i += sizes_) {
+      solution->emplace_back(best_chain_.begin() + static_cast<ptrdiff_t>(i),
+                             best_chain_.begin() + static_cast<ptrdiff_t>(i + sizes_));
+    }
     return best_;
   }
 
-  bool exhausted() const { return nodes_ >= node_budget_; }
+  // True when the node budget left part of the tree unexplored, so the
+  // returned count is not proven optimal.
+  bool cut_off() const { return cut_off_; }
+  // Nodes expanded: the search's deterministic work counter.
+  uint64_t nodes() const { return static_cast<uint64_t>(nodes_); }
 
  private:
-  void Dfs(const std::vector<uint32_t>& demand, uint32_t used_bins) {
-    if (nodes_ >= node_budget_) return;
+  struct Level {
+    std::vector<uint32_t> demand;   // remaining demand, one entry per size
+    std::vector<uint32_t> moves;    // maximal patterns, sizes_ entries each
+    std::vector<uint32_t> weights;  // PatternWeight of each move
+    std::vector<uint32_t> order;    // move indices, fullest first
+    size_t current = 0;             // move whose subtree is being explored
+  };
+
+  // `remaining_weight` is the total size of levels_[depth].demand; the
+  // depth is the number of bins already filled.
+  void Dfs(size_t depth, uint64_t remaining_weight) {
+    if (nodes_ >= node_budget_) {
+      cut_off_ = true;
+      return;
+    }
     ++nodes_;
 
-    const uint32_t lb = SimpleLowerBound(capacity_, demand);
+    const uint32_t used_bins = static_cast<uint32_t>(depth);
+    const auto lb = static_cast<uint32_t>((remaining_weight + capacity_ - 1) / capacity_);
     if (lb == 0) {  // everything packed
       if (used_bins < best_) {
         best_ = used_bins;
-        best_chain_ = chain_;
+        best_chain_.clear();
+        for (size_t d = 0; d < depth; ++d) {
+          const uint32_t* mv = &levels_[d].moves[levels_[d].current * sizes_];
+          best_chain_.insert(best_chain_.end(), mv, mv + sizes_);
+        }
       }
       return;
     }
     if (used_bins + lb >= best_) return;  // cannot improve
 
-    std::vector<Pattern> moves;
-    Pattern scratch(demand.size(), 0);
-    EnumerateMaximalPatterns(capacity_, demand, demand.size() - 1, &scratch, &moves);
-    // Prefer fuller bins first: they reach the lower bound fastest.
-    std::sort(moves.begin(), moves.end(), [](const Pattern& a, const Pattern& b) {
-      return PatternWeight(a) > PatternWeight(b);
+    Level& level = levels_[depth];
+    level.moves.clear();
+    level.weights.clear();
+    Enumerate(level, sizes_ - 1, 0);
+    // Prefer fuller bins first: they reach the lower bound fastest. Sorting
+    // the indices by weight makes exactly the comparisons sorting the
+    // patterns themselves would, so the fill order is the same permutation.
+    level.order.resize(level.weights.size());
+    for (uint32_t i = 0; i < level.order.size(); ++i) level.order[i] = i;
+    std::sort(level.order.begin(), level.order.end(), [&level](uint32_t a, uint32_t b) {
+      return level.weights[a] > level.weights[b];
     });
-    for (const Pattern& mv : moves) {
-      std::vector<uint32_t> next = demand;
-      for (size_t j = 0; j < next.size(); ++j) next[j] -= std::min(next[j], mv[j]);
-      chain_.push_back(mv);
-      Dfs(next, used_bins + 1);
-      chain_.pop_back();
+    std::vector<uint32_t>& next = levels_[depth + 1].demand;
+    next.resize(sizes_);
+    for (size_t r = 0; r < level.order.size(); ++r) {
+      const uint32_t mv = level.order[r];
+      const uint32_t* counts = &level.moves[static_cast<size_t>(mv) * sizes_];
+      for (size_t j = 0; j < sizes_; ++j) next[j] = level.demand[j] - counts[j];
+      level.current = mv;
+      Dfs(depth + 1, remaining_weight - level.weights[mv]);
       if (used_bins + lb >= best_) return;  // incumbent now matches bound
-      if (nodes_ >= node_budget_) return;
+      if (nodes_ >= node_budget_) {
+        cut_off_ = cut_off_ || r + 1 < level.order.size();
+        return;
+      }
     }
   }
 
-  uint32_t capacity_;
-  int node_budget_;
-  double eps_;
+  // Appends to level.moves every maximal pattern over level.demand, sizes
+  // descending from `size_index` and larger counts first (the greedy-ish
+  // order that finds good incumbents early). pattern_[j] is fixed for every
+  // j > size_index and zero below it; `used` is its weight. Moves never
+  // exceed the demand, so the child's demand is a plain subtraction.
+  void Enumerate(Level& level, size_t size_index, uint32_t used) {
+    const uint32_t item = static_cast<uint32_t>(size_index + 1);
+    const uint32_t max_count =
+        std::min<uint32_t>(level.demand[size_index], (capacity_ - used) / item);
+    for (uint32_t c = max_count;; --c) {
+      pattern_[size_index] = c;
+      if (size_index > 0) {
+        Enumerate(level, size_index - 1, used + c * item);
+      } else {
+        EmitIfMaximal(level, used + c);
+      }
+      if (c == 0) break;
+    }
+    pattern_[size_index] = 0;
+  }
+
+  void EmitIfMaximal(Level& level, uint32_t used) {
+    // Extendable if some size with demand left still fits the residual.
+    for (size_t j = 0; j < sizes_ && used + j + 1 <= capacity_; ++j) {
+      if (level.demand[j] > pattern_[j]) return;
+    }
+    if (used == 0) return;
+    level.moves.insert(level.moves.end(), pattern_.begin(), pattern_.end());
+    level.weights.push_back(used);
+  }
+
+  const uint32_t capacity_;
+  const int node_budget_;
+  size_t sizes_ = 0;
   int nodes_ = 0;
+  bool cut_off_ = false;
   uint32_t best_ = UINT32_MAX;
-  std::vector<Pattern> chain_;
-  std::vector<Pattern> best_chain_;
+  std::vector<Level> levels_;
+  std::vector<uint32_t> pattern_;     // the pattern Enumerate is building
+  std::vector<uint32_t> best_chain_;  // best packing, sizes_ entries per bin
 };
 
 // Aggregates a list of per-bin patterns into (distinct pattern, count) pairs.
@@ -282,19 +332,19 @@ Result<CuttingStockResult> SolveCuttingStock(uint32_t capacity,
   }
 
   // 3. Branch-and-bound closes the gap.
-  BinPackSearch search(capacity, options.max_bb_nodes, options.eps);
+  BinPackSearch search(capacity, options.max_bb_nodes);
   std::vector<Pattern> bb_bins;
-  std::vector<uint32_t> demand_vec = demands;
   const uint32_t bb_best =
-      search.Solve(demand_vec, static_cast<uint32_t>(ffd_bins.size()), &bb_bins);
+      search.Solve(demands, static_cast<uint32_t>(ffd_bins.size()), &bb_bins);
+  result.bb_nodes = search.nodes();
 
   if (bb_bins.empty() || bb_best >= ffd_bins.size()) {
     result.num_bins = static_cast<uint32_t>(ffd_bins.size());
-    result.proven_optimal = !search.exhausted();
+    result.proven_optimal = !search.cut_off();
     AggregatePatterns(ffd_patterns, &result);
   } else {
     result.num_bins = bb_best;
-    result.proven_optimal = !search.exhausted() || bb_best <= round_up;
+    result.proven_optimal = !search.cut_off() || bb_best <= round_up;
     AggregatePatterns(bb_bins, &result);
   }
   return result;

@@ -33,7 +33,9 @@ struct CuttingStockOptions {
   /// the node budget is exhausted) the best heuristic solution is returned
   /// with proven_optimal = false.
   bool exact = true;
-  /// Branch-and-bound node budget.
+  /// Branch-and-bound node budget. A search that finishes within it (even
+  /// using every node) is complete; only one it cuts off loses
+  /// proven_optimal.
   int max_bb_nodes = 500000;
   double eps = 1e-6;
 };
@@ -46,6 +48,10 @@ struct CuttingStockResult {
   /// Column-generation LP optimum (a valid lower bound on num_bins).
   double lp_bound = 0.0;
   bool proven_optimal = false;
+  /// Branch-and-bound nodes expanded (0 when FFD met the LP bound or exact
+  /// search was off): a deterministic work counter, a function of
+  /// (capacity, demands, options) only.
+  uint64_t bb_nodes = 0;
 };
 
 /// \brief Solves min-bins for `demands[j]` items of size j+1 and bin capacity
@@ -57,7 +63,8 @@ Result<CuttingStockResult> SolveCuttingStock(uint32_t capacity,
 
 /// \brief First-fit-decreasing bin packing over explicit items.
 /// Returns bins as lists of item indices into `item_sizes`. Items larger than
-/// the capacity are an InvalidArgument.
+/// the capacity are an InvalidArgument. O(items · log items) time and
+/// O(items) memory, whatever the capacity.
 Result<std::vector<std::vector<uint32_t>>> FirstFitDecreasing(
     uint32_t capacity, const std::vector<uint32_t>& item_sizes);
 

@@ -2,6 +2,9 @@
 // example and optimality checks against brute force.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "common/rng.h"
@@ -94,6 +97,40 @@ TEST(CuttingStockTest, LpBoundIsLowerBound) {
   EXPECT_LE(r->lp_bound, static_cast<double>(r->num_bins) + 1e-6);
 }
 
+// A search that completes inside its node budget is complete, even when it
+// spends every node of it; only a search the budget cuts off loses the
+// proof. eps = 1 widens the LP round-up slack by a whole bin, so on this
+// instance the bound cannot close the gap and only the exhausted search
+// tree proves that FFD's 6 bins are optimal (k=5: four size-4 parts need a
+// bin each, three size-2 parts need two; the LP bound is 5.5).
+TEST(CuttingStockTest, SearchUsingItsWholeBudgetIsStillProvenOptimal) {
+  const std::vector<uint32_t> demands{0, 3, 0, 4, 0};
+  CuttingStockOptions options;
+  options.eps = 1.0;
+  const auto unlimited = SolveCuttingStock(5, demands, options);
+  ASSERT_TRUE(unlimited.ok());
+  EXPECT_EQ(unlimited->num_bins, 6u);
+  ASSERT_GT(unlimited->bb_nodes, 1u);
+  ASSERT_TRUE(unlimited->proven_optimal);
+  ASSERT_GT(unlimited->num_bins,
+            static_cast<uint32_t>(std::ceil(unlimited->lp_bound - options.eps)));
+
+  options.max_bb_nodes = static_cast<int>(unlimited->bb_nodes);
+  const auto exact_budget = SolveCuttingStock(5, demands, options);
+  ASSERT_TRUE(exact_budget.ok());
+  EXPECT_EQ(exact_budget->num_bins, unlimited->num_bins);
+  EXPECT_EQ(exact_budget->patterns, unlimited->patterns);
+  EXPECT_EQ(exact_budget->counts, unlimited->counts);
+  EXPECT_EQ(exact_budget->bb_nodes, unlimited->bb_nodes);
+  EXPECT_TRUE(exact_budget->proven_optimal);
+
+  options.max_bb_nodes -= 1;
+  const auto short_budget = SolveCuttingStock(5, demands, options);
+  ASSERT_TRUE(short_budget.ok());
+  EXPECT_EQ(short_budget->bb_nodes, unlimited->bb_nodes - 1);
+  EXPECT_FALSE(short_budget->proven_optimal);
+}
+
 TEST(CuttingStockTest, FfdFallbackWhenExactDisabled) {
   CuttingStockOptions options;
   options.exact = false;
@@ -122,6 +159,58 @@ TEST(FirstFitDecreasingTest, ClassicExample) {
   auto bins = FirstFitDecreasing(10, {7, 5, 3, 3, 2});
   ASSERT_TRUE(bins.ok());
   EXPECT_EQ(bins->size(), 2u);
+  EXPECT_EQ(*bins, (std::vector<std::vector<uint32_t>>{{0, 2}, {1, 3, 4}}));
+}
+
+// First fit, checked against its definition: replaying the placements in
+// decreasing-size order (stable on ties), every item lands in the first bin
+// with room for it at that moment, or opens the next bin when none has.
+TEST(FirstFitDecreasingTest, EveryItemTakesTheFirstBinWithRoom) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 100; ++trial) {
+    // Small capacities crowd the bins; a huge one must not cost memory.
+    const uint32_t capacity =
+        trial % 10 == 9 ? UINT32_MAX : 1 + static_cast<uint32_t>(rng.Uniform(30));
+    std::vector<uint32_t> items(rng.Uniform(200));
+    for (uint32_t& s : items) {
+      s = 1 + static_cast<uint32_t>(rng.Uniform(std::min<uint32_t>(capacity, 40)));
+    }
+    if (capacity == UINT32_MAX && !items.empty()) items[0] = capacity;
+    auto bins = FirstFitDecreasing(capacity, items);
+    ASSERT_TRUE(bins.ok());
+
+    std::vector<size_t> bin_of(items.size(), SIZE_MAX);
+    std::vector<size_t> rank(items.size());
+    for (size_t b = 0; b < bins->size(); ++b) {
+      for (size_t r = 0; r < (*bins)[b].size(); ++r) {
+        ASSERT_EQ(bin_of[(*bins)[b][r]], SIZE_MAX) << "item placed twice";
+        bin_of[(*bins)[b][r]] = b;
+        rank[(*bins)[b][r]] = r;
+      }
+    }
+    std::vector<uint32_t> order(items.size());
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) { return items[a] > items[b]; });
+    std::vector<uint64_t> slack;
+    std::vector<size_t> filled;
+    for (uint32_t idx : order) {
+      ASSERT_NE(bin_of[idx], SIZE_MAX) << "item never placed";
+      const size_t b = bin_of[idx];
+      for (size_t earlier = 0; earlier < std::min(b, slack.size()); ++earlier) {
+        EXPECT_LT(slack[earlier], items[idx]) << "trial " << trial << " item " << idx;
+      }
+      if (b == slack.size()) {
+        slack.push_back(capacity);
+        filled.push_back(0);
+      }
+      ASSERT_LT(b, slack.size()) << "skipped a bin";
+      ASSERT_GE(slack[b], items[idx]) << "overfilled a bin";
+      EXPECT_EQ(rank[idx], filled[b]) << "bin contents out of placement order";
+      slack[b] -= items[idx];
+      ++filled[b];
+    }
+  }
 }
 
 TEST(FirstFitDecreasingTest, RejectsOversizedAndZeroItems) {
