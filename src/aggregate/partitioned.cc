@@ -81,32 +81,9 @@ Status MajorityVoteSharded(
 }
 
 uint32_t WorkerSlots::Insert(uint32_t id) {
-  const uint32_t found = Find(id);
-  if (found != kNone) return found;
-  const auto slot = static_cast<uint32_t>(ids_.size());
-  ids_.push_back(id);
-  // The flat table grows (at least doubling, so migrations stay
-  // logarithmic) only to cover ids below a bound linear in the worker
-  // count; its size therefore stays O(#workers) too.
-  constexpr size_t kMinDirect = 1024;
-  if (id >= direct_.size() && id < kMinDirect + 4 * ids_.size()) {
-    const size_t grown = std::max<size_t>(static_cast<size_t>(id) + 1, 2 * direct_.size());
-    direct_.resize(grown, kNone);
-    for (auto it = sparse_.begin(); it != sparse_.end();) {
-      if (it->first < grown) {
-        direct_[it->first] = it->second;
-        it = sparse_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (id < direct_.size()) {
-    direct_[id] = slot;
-  } else {
-    sparse_.emplace(id, slot);
-  }
-  return slot;
+  const auto [it, inserted] = slot_of_.emplace(id, static_cast<uint32_t>(ids_.size()));
+  if (inserted) ids_.push_back(id);
+  return it->second;
 }
 
 namespace {

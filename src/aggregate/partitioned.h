@@ -132,10 +132,9 @@ Status MajorityVoteSharded(
     const std::function<Status(size_t shard, const std::vector<double>&)>& emit);
 
 /// \brief Worker ids mapped to dense slots `[0, size())` in first-seen
-/// order: how the EM indexes its per-worker state. Ids below a bound linear
-/// in the number of workers resolve through a flat table, the rest through
-/// a hash map, so a sparse or hostile id space (ids near UINT32_MAX from a
-/// replayed vote log) costs O(#workers) memory, never O(max id).
+/// order: how the EM indexes its per-worker state. A hash map keyed by id,
+/// so a sparse or hostile id space (ids near UINT32_MAX from a replayed vote
+/// log) costs O(#workers) memory, never O(max id).
 class WorkerSlots {
  public:
   /// \brief What Find returns for an id that has no slot.
@@ -143,9 +142,8 @@ class WorkerSlots {
 
   /// \brief The slot of `id`, or kNone.
   uint32_t Find(uint32_t id) const {
-    if (id < direct_.size()) return direct_[id];
-    const auto it = sparse_.find(id);
-    return it == sparse_.end() ? kNone : it->second;
+    const auto it = slot_of_.find(id);
+    return it == slot_of_.end() ? kNone : it->second;
   }
 
   /// \brief The slot of `id`, assigning the next free one on first sight.
@@ -157,9 +155,8 @@ class WorkerSlots {
   uint32_t id(uint32_t slot) const { return ids_[slot]; }
 
  private:
-  std::vector<uint32_t> direct_;                    // id -> slot or kNone
-  std::unordered_map<uint32_t, uint32_t> sparse_;  // ids past direct_
-  std::vector<uint32_t> ids_;                       // slot -> id
+  std::unordered_map<uint32_t, uint32_t> slot_of_;  // id -> slot
+  std::vector<uint32_t> ids_;                        // slot -> id
 };
 
 /// \brief The four log-probabilities one worker's vote can add to a pair's
