@@ -9,6 +9,27 @@
 namespace crowder {
 namespace aggregate {
 
+namespace {
+
+Status ShardOutOfRange(size_t shard, size_t num_shards) {
+  return Status::OutOfRange("shard " + std::to_string(shard) + " of " +
+                            std::to_string(num_shards));
+}
+
+}  // namespace
+
+Result<VoteTable> VoteShardSource::LoadShard(size_t shard) {
+  VoteTable table;
+  CROWDER_RETURN_NOT_OK(WithShard(shard, [&](const VoteShardView& view) {
+    table.resize(view.size());
+    for (size_t i = 0; i < view.size(); ++i) {
+      table[i].assign(view[i].begin(), view[i].end());
+    }
+    return Status::OK();
+  }));
+  return table;
+}
+
 InMemoryVoteShards::InMemoryVoteShards(const VoteTable* table, std::vector<size_t> shard_sizes)
     : table_(table), shard_sizes_(std::move(shard_sizes)) {
   size_t start = 0;
@@ -20,47 +41,32 @@ InMemoryVoteShards::InMemoryVoteShards(const VoteTable* table, std::vector<size_
   CROWDER_CHECK(start == table_->size()) << "shard sizes must sum to the table size";
 }
 
-Result<VoteTable> InMemoryVoteShards::LoadShard(size_t shard) {
-  if (shard >= shard_sizes_.size()) {
-    return Status::OutOfRange("shard " + std::to_string(shard) + " of " +
-                              std::to_string(shard_sizes_.size()));
-  }
-  VoteTable out(shard_sizes_[shard]);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = (*table_)[shard_starts_[shard] + i];
-  }
-  return out;
-}
-
 Status InMemoryVoteShards::WithShard(size_t shard,
-                                     const std::function<Status(const VoteTable&)>& fn) {
-  if (shard == 0 && shard_sizes_.size() == 1 && shard_sizes_[0] == table_->size()) {
-    return fn(*table_);  // whole-table shard: lend, don't copy
-  }
-  return VoteShardSource::WithShard(shard, fn);
+                                     const std::function<Status(const VoteShardView&)>& fn) {
+  if (shard >= shard_sizes_.size()) return ShardOutOfRange(shard, shard_sizes_.size());
+  return fn(VoteShardView(table_->data() + shard_starts_[shard], shard_sizes_[shard]));
 }
 
 FilteredVoteShardSource::FilteredVoteShardSource(VoteShardSource* inner,
                                                  std::unordered_set<uint32_t> banned)
     : inner_(inner), banned_(std::move(banned)) {}
 
-Result<VoteTable> FilteredVoteShardSource::LoadShard(size_t shard) {
-  CROWDER_ASSIGN_OR_RETURN(VoteTable table, inner_->LoadShard(shard));
-  if (banned_.empty()) return table;
-  for (std::vector<Vote>& pair_votes : table) {
-    pair_votes.erase(
-        std::remove_if(pair_votes.begin(), pair_votes.end(),
-                       [&](const Vote& v) { return banned_.count(v.worker_id) > 0; }),
-        pair_votes.end());
-  }
-  return table;
-}
-
 Status FilteredVoteShardSource::WithShard(size_t shard,
-                                          const std::function<Status(const VoteTable&)>& fn) {
+                                          const std::function<Status(const VoteShardView&)>& fn) {
   if (banned_.empty()) return inner_->WithShard(shard, fn);  // lend through
-  CROWDER_ASSIGN_OR_RETURN(const VoteTable table, LoadShard(shard));
-  return fn(table);
+  return inner_->WithShard(shard, [&](const VoteShardView& view) {
+    // Keep each pair's surviving votes in cast order, pairs in local order.
+    surviving_.offsets.resize(view.size() + 1);
+    surviving_.offsets[0] = 0;
+    surviving_.votes.clear();
+    for (size_t i = 0; i < view.size(); ++i) {
+      for (const Vote& v : view[i]) {
+        if (banned_.count(v.worker_id) == 0) surviving_.votes.push_back(v);
+      }
+      surviving_.offsets[i + 1] = surviving_.votes.size();
+    }
+    return fn(surviving_.View());
+  });
 }
 
 Status MajorityVoteSharded(
@@ -69,10 +75,10 @@ Status MajorityVoteSharded(
   CROWDER_CHECK(shards != nullptr);
   std::vector<double> probabilities;
   for (size_t shard = 0; shard < shards->num_shards(); ++shard) {
-    CROWDER_RETURN_NOT_OK(shards->WithShard(shard, [&](const VoteTable& table) {
-      probabilities.assign(table.size(), kUnjudgedMatchProbability);
-      for (size_t i = 0; i < table.size(); ++i) {
-        probabilities[i] = MajorityMatchProbability(table[i]);
+    CROWDER_RETURN_NOT_OK(shards->WithShard(shard, [&](const VoteShardView& view) {
+      probabilities.assign(view.size(), kUnjudgedMatchProbability);
+      for (size_t i = 0; i < view.size(); ++i) {
+        probabilities[i] = MajorityMatchProbability(view[i]);
       }
       return emit(shard, probabilities);
     }));
@@ -93,8 +99,7 @@ namespace {
 // per-vote loop would take (log(sensitivity), ...), precomputed per worker,
 // and they are summed in vote order, so the result is bitwise that loop's.
 template <typename SlotOf>
-double EStep(const std::vector<Vote>& pair_votes, const DawidSkeneModel& model,
-             SlotOf slot_of) {
+double EStep(VoteSpan pair_votes, const DawidSkeneModel& model, SlotOf slot_of) {
   double log_pos = model.log_prior_match;
   double log_neg = model.log_prior_non_match;
   for (size_t i = 0; i < pair_votes.size(); ++i) {
@@ -136,8 +141,7 @@ DawidSkeneModel Publish(DawidSkeneModel model, const std::vector<WorkerQuality>&
 
 }  // namespace
 
-double PosteriorMatchProbability(const std::vector<Vote>& pair_votes,
-                                 const DawidSkeneModel& model) {
+double PosteriorMatchProbability(VoteSpan pair_votes, const DawidSkeneModel& model) {
   if (pair_votes.empty()) return kUnjudgedMatchProbability;
   // No EM iteration ran (no votes anywhere): the posterior is the
   // initialization, i.e. the majority fraction.
@@ -192,8 +196,9 @@ Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
     double max_delta = 0.0;
 
     for (size_t shard = 0; shard < shards->num_shards(); ++shard) {
-      CROWDER_RETURN_NOT_OK(shards->WithShard(shard, [&](const VoteTable& table) {
-        for (const auto& pair_votes : table) {
+      CROWDER_RETURN_NOT_OK(shards->WithShard(shard, [&](const VoteShardView& view) {
+        for (size_t pair = 0; pair < view.size(); ++pair) {
+          const VoteSpan pair_votes = view[pair];
           if (pair_votes.empty()) continue;
           vote_slots.resize(pair_votes.size());
           for (size_t i = 0; i < pair_votes.size(); ++i) {

@@ -7,7 +7,7 @@
 /// `votes[i]` with pair *i* of the surviving pair list. A sharded table
 /// slices that index space into contiguous ranges — shard *s* covers global
 /// pair indices `[start_s, start_s + size_s)` — and exposes them through
-/// `VoteShardSource`, which loads one shard at a time (typically from a
+/// `VoteShardSource`, which lends one shard at a time (typically from a
 /// spill file; see `VoteShardStore` in core/partition.h). Aggregation then
 /// runs with only **one resident shard plus O(#workers) model state**:
 ///
@@ -46,6 +46,53 @@
 namespace crowder {
 namespace aggregate {
 
+/// \brief One shard's votes as a VoteShardSource lends them: pair `i`
+/// (local index; 0 is the shard's first global pair) has the votes
+/// `view[i]`, in cast order. Two layouts behind one reader: rows of a
+/// VoteTable read in place (InMemoryVoteShards), or one flat vote array cut
+/// by per-pair offsets (VoteShardStore, FilteredVoteShardSource). Borrows
+/// its storage; valid only inside the WithShard call that lends it.
+class VoteShardView {
+ public:
+  /// \brief `num_pairs` VoteTable rows starting at `rows`, read in place.
+  VoteShardView(const std::vector<Vote>* rows, size_t num_pairs)
+      : rows_(rows), size_(num_pairs) {}
+  /// \brief Pair `i`'s votes are `votes[offsets[i], offsets[i + 1])`;
+  /// `offsets` holds `num_pairs + 1` entries.
+  VoteShardView(const uint64_t* offsets, const Vote* votes, size_t num_pairs)
+      : offsets_(offsets), votes_(votes), size_(num_pairs) {}
+
+  /// \brief Pairs the shard covers.
+  size_t size() const { return size_; }
+  /// \brief The votes of local pair `i`, in cast order.
+  VoteSpan operator[](size_t i) const {
+    if (rows_ != nullptr) return rows_[i];
+    return {votes_ + offsets_[i], votes_ + offsets_[i + 1]};
+  }
+
+ private:
+  const std::vector<Vote>* rows_ = nullptr;
+  const uint64_t* offsets_ = nullptr;
+  const Vote* votes_ = nullptr;
+  size_t size_ = 0;
+};
+
+/// \brief Reusable backing storage for a flat VoteShardView. Filling it for
+/// the next shard keeps the vectors' capacity, so once the largest shard has
+/// been seen, lending a shard allocates nothing.
+struct FlatShardVotes {
+  /// `offsets[i]` is where local pair `i`'s votes start; one extra entry
+  /// holds the total.
+  std::vector<uint64_t> offsets;
+  /// Every vote of the shard, grouped by pair in local-index order.
+  std::vector<Vote> votes;
+
+  /// \brief The view over the current contents.
+  VoteShardView View() const {
+    return VoteShardView(offsets.data(), votes.data(), offsets.size() - 1);
+  }
+};
+
 /// \brief Read interface over a vote table sharded into contiguous pair
 /// ranges, in global pair order. Loads are repeatable (EM scans the shard
 /// sequence once per iteration) and may perform disk I/O.
@@ -57,26 +104,24 @@ class VoteShardSource {
   /// pair order.
   virtual size_t num_shards() const = 0;
 
-  /// \brief Loads shard `shard` as a local VoteTable whose index 0 is the
-  /// shard's first global pair. Per-pair vote order must be cast order (the
-  /// order the materialized table would hold).
-  virtual Result<VoteTable> LoadShard(size_t shard) = 0;
+  /// \brief Runs `fn` over shard `shard`, lent as a view whose local index
+  /// 0 is the shard's first global pair. Per-pair vote order must be cast
+  /// order (the order the materialized table would hold). The view lives
+  /// until `fn` returns; a source may reuse its storage for the next shard,
+  /// which is what keeps the EM's per-iteration shard sweep free of
+  /// per-pair allocations. A shard id out of range is OutOfRange.
+  virtual Status WithShard(size_t shard,
+                           const std::function<Status(const VoteShardView&)>& fn) = 0;
 
-  /// \brief Runs `fn` over the shard's table without transferring
-  /// ownership. The default loads a copy via LoadShard; sources that can
-  /// lend a view override it — the EM loop reads every shard once per
-  /// iteration, so a borrowing source (InMemoryVoteShards over one whole
-  /// table, i.e. the materialized RunDawidSkene) pays no per-iteration
-  /// copies.
-  virtual Status WithShard(size_t shard, const std::function<Status(const VoteTable&)>& fn) {
-    CROWDER_ASSIGN_OR_RETURN(const VoteTable table, LoadShard(shard));
-    return fn(table);
-  }
+  /// \brief Copies shard `shard` out as a VoteTable (inspection and tests;
+  /// the aggregators read lent views).
+  Result<VoteTable> LoadShard(size_t shard);
 };
 
 /// \brief In-memory shard view over one VoteTable, split into the given
-/// consecutive range sizes. Reference adapter for tests and for the
-/// single-shard wrapper (`RunDawidSkene`).
+/// consecutive range sizes. Lends every shard as rows of the table itself,
+/// never a copy: the adapter behind the materialized `RunDawidSkene`, and a
+/// reference source for tests.
 class InMemoryVoteShards : public VoteShardSource {
  public:
   /// \brief Splits `table` (not owned; must outlive the view) into
@@ -85,11 +130,8 @@ class InMemoryVoteShards : public VoteShardSource {
   InMemoryVoteShards(const VoteTable* table, std::vector<size_t> shard_sizes);
 
   size_t num_shards() const override { return shard_sizes_.size(); }
-  Result<VoteTable> LoadShard(size_t shard) override;
-  /// \brief Lends the underlying table directly when one shard covers it
-  /// whole (the materialized RunDawidSkene shape); otherwise copies.
   Status WithShard(size_t shard,
-                   const std::function<Status(const VoteTable&)>& fn) override;
+                   const std::function<Status(const VoteShardView&)>& fn) override;
 
  private:
   const VoteTable* table_;
@@ -103,7 +145,8 @@ class InMemoryVoteShards : public VoteShardSource {
 /// aggregators see — majority tallies, Dawid-Skene confusion masses — is
 /// re-derived from the surviving votes only. Filtering at the shard
 /// boundary keeps the bounded-memory property: one shard plus the O(#banned)
-/// set resident, exactly as without the filter.
+/// set resident, exactly as without the filter. The surviving votes are
+/// copied, in order, into a FlatShardVotes reused across shards.
 ///
 /// With an empty ban set, WithShard lends the inner shard through untouched,
 /// so the unfiltered path (every golden) pays nothing.
@@ -114,13 +157,13 @@ class FilteredVoteShardSource : public VoteShardSource {
   FilteredVoteShardSource(VoteShardSource* inner, std::unordered_set<uint32_t> banned);
 
   size_t num_shards() const override { return inner_->num_shards(); }
-  Result<VoteTable> LoadShard(size_t shard) override;
   Status WithShard(size_t shard,
-                   const std::function<Status(const VoteTable&)>& fn) override;
+                   const std::function<Status(const VoteShardView&)>& fn) override;
 
  private:
   VoteShardSource* inner_;
   std::unordered_set<uint32_t> banned_;
+  FlatShardVotes surviving_;
 };
 
 /// \brief Majority vote, one shard at a time: for each shard in order,
@@ -215,8 +258,7 @@ Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
 /// shard-by-shard. Voteless pairs get `kUnjudgedMatchProbability`. The model
 /// must hold every worker appearing in `pair_votes` (checked); an empty
 /// model (no EM iteration ran) falls back to `MajorityMatchProbability`.
-double PosteriorMatchProbability(const std::vector<Vote>& pair_votes,
-                                 const DawidSkeneModel& model);
+double PosteriorMatchProbability(VoteSpan pair_votes, const DawidSkeneModel& model);
 
 }  // namespace aggregate
 }  // namespace crowder

@@ -40,6 +40,33 @@ struct Vote {
 /// surviving pair list — see the file comment for the contract).
 using VoteTable = std::vector<std::vector<Vote>>;
 
+/// \brief A read-only run of one pair's votes, in cast order: a row of a
+/// VoteTable or a slice of a flat vote array (aggregate::VoteShardView).
+/// Does not own the votes.
+class VoteSpan {
+ public:
+  /// \brief The empty span.
+  VoteSpan() = default;
+  /// \brief The votes `[begin, end)`.
+  VoteSpan(const Vote* begin, const Vote* end) : begin_(begin), end_(end) {}
+  /// \brief One VoteTable row (implicit, so every row-taking caller works).
+  VoteSpan(const std::vector<Vote>& row)  // NOLINT(runtime/explicit)
+      : begin_(row.data()), end_(row.data() + row.size()) {}
+
+  const Vote* begin() const { return begin_; }  ///< first vote
+  const Vote* end() const { return end_; }      ///< one past the last vote
+  /// \brief Number of votes.
+  std::size_t size() const { return static_cast<std::size_t>(end_ - begin_); }
+  /// \brief Whether the pair has no votes.
+  bool empty() const { return begin_ == end_; }
+  /// \brief The `i`-th vote in cast order.
+  const Vote& operator[](std::size_t i) const { return begin_[i]; }
+
+ private:
+  const Vote* begin_ = nullptr;
+  const Vote* end_ = nullptr;
+};
+
 /// \brief The match probability assigned to a pair no worker ever judged:
 /// never asked means never confirmed, so the pair ranks below every judged
 /// pair rather than defaulting to "maybe".
@@ -53,7 +80,7 @@ inline constexpr double kUnjudgedMatchProbability = 0.0;
 /// \brief Fraction of yes votes on one pair — the majority-vote probability
 /// and the Dawid-Skene E-step initialization. Voteless pairs get
 /// `kUnjudgedMatchProbability`.
-inline double MajorityMatchProbability(const std::vector<Vote>& pair_votes) {
+inline double MajorityMatchProbability(VoteSpan pair_votes) {
   if (pair_votes.empty()) return kUnjudgedMatchProbability;
   std::size_t yes = 0;
   for (const Vote& v : pair_votes) yes += v.says_match ? 1 : 0;

@@ -47,6 +47,7 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
   Pipeline pipeline;
   pipeline.Add(std::make_unique<MachinePassStage>()).Add(std::make_unique<HitGenStage>());
   CROWDER_RETURN_NOT_OK(pipeline.Run(state_.get(), &state_->result.pipeline_stats));
+  if (adaptive()) pair_status_.assign(state_->result.num_candidate_pairs, 0);
 
   // Round-source setup. Mirrors the pre-driver crowd stage exactly: the
   // pair route fixes the partition/shard layout up front; the cluster route
@@ -339,11 +340,10 @@ void WorkflowDriver::SweepClosure() {
     // Already resolved through another context (overlapping cluster ranges
     // share pairs) or awaiting its re-ask — either way, not this context's
     // question anymore.
-    if (asked_.count(q.global_index) != 0 || inferred_.count(q.global_index) != 0 ||
-        reask_pending_.count(q.global_index) != 0) {
-      continue;
-    }
+    uint8_t& status = pair_status_[q.global_index];
+    if (status != 0) continue;
     if (auto verdict = closure_->Infer(q.pair.a, q.pair.b)) {
+      status = kInferred;
       inferred_.emplace(q.global_index, InferredPair{q.pair, *verdict});
       inferred_key_[PairKey(q.pair.a, q.pair.b)] = q.global_index;
       ++inferred_new_;
@@ -366,16 +366,26 @@ Status WorkflowDriver::PostReaskRound() {
     round_pairs_.push_back(q.pair);
     round_global_index_.push_back(q.global_index);
     edges.push_back({q.pair.a, q.pair.b});
-    reask_pending_.erase(q.global_index);
+    pair_status_[q.global_index] &= static_cast<uint8_t>(~kReaskPending);
   }
   reask_queue_.erase(reask_queue_.begin(), reask_queue_.begin() + take);
+  reasked_new_ = take;
 
-  hitgen::PairHitPacker packer(config_.pairs_per_hit);
-  CROWDER_RETURN_NOT_OK(packer.Add(edges));
-  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
   IndexRoundPairs(round_pairs_);
   pending_.first_hit = next_hit_;
   pending_.pairs = &round_pairs_;
+  // A crowd session carries one HIT interface from its first HIT on, so a
+  // cluster-HIT run re-asks with two-record cluster HITs (each covers
+  // exactly its pair), as PrepareRepairRound does.
+  if (config_.hit_type == HitType::kClusterBased) {
+    round_cluster_hits_.reserve(edges.size());
+    for (const graph::Edge& e : edges) round_cluster_hits_.push_back({{e.a, e.b}});
+    pending_.cluster_hits = &round_cluster_hits_;
+    return Status::OK();
+  }
+  hitgen::PairHitPacker packer(config_.pairs_per_hit);
+  CROWDER_RETURN_NOT_OK(packer.Add(edges));
+  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
   pending_.pair_hits = &round_pair_hits_;
   return Status::OK();
 }
@@ -522,6 +532,7 @@ void WorkflowDriver::FoldAnsweredRound() {
   for (const auto& [local, vote] : round_votes_) per_pair[local].push_back(vote);
   for (size_t i = 0; i < pairs.size(); ++i) {
     const uint64_t global = round_global_index_[i];
+    pair_status_[global] |= kAsked;
     AskedPair& rec = asked_[global];
     rec.pair = pairs[i];
     rec.votes.insert(rec.votes.end(), per_pair[i].begin(), per_pair[i].end());
@@ -554,7 +565,7 @@ void WorkflowDriver::MaybeRebuildClosure() {
     // Un-inferred: the evidence that implied this verdict no longer
     // survives (or now implies the opposite). Conservative re-ask.
     reask_queue_.push_back({it->second.pair, it->first});
-    reask_pending_.insert(it->first);
+    pair_status_[it->first] = kReaskPending;
     inferred_key_.erase(PairKey(it->second.pair.a, it->second.pair.b));
     it = inferred_.erase(it);
   }
@@ -771,6 +782,8 @@ void WorkflowDriver::FinishRound() {
   // only; the counter stays 0 under kFixedOrder).
   round.pairs_inferred = inferred_new_;
   inferred_new_ = 0;
+  round.pairs_reasked = reasked_new_;
+  reasked_new_ = 0;
 
   // Fold the round into the lifetime approval statistics: a vote is
   // approved when it sides with its pair's round majority (ties approve —

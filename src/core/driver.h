@@ -212,7 +212,8 @@ class WorkflowDriver {
   void SweepClosure();
   /// Posts the policy-ranked top of base_unresolved_ as one sub-round.
   Status PostSelectionRound();
-  /// Posts retracted pairs (the conservative re-ask path) as pair HITs.
+  /// Posts retracted pairs (the conservative re-ask path) in the session's
+  /// HIT shape: packed pair HITs, or one two-record cluster HIT per pair.
   Status PostReaskRound();
   /// Pairs per selection sub-round (config.selection_batch_pairs; 0=auto).
   uint64_t ResolveSelectionBatch() const;
@@ -300,8 +301,20 @@ class WorkflowDriver {
     similarity::ScoredPair pair;
     std::vector<aggregate::Vote> votes;
   };
-  /// Global pair index -> asked record. Ordered for deterministic rebuild.
+  /// Global pair index -> asked record: the ordered log MaybeRebuildClosure
+  /// replays (ascending index is the deterministic rebuild order).
+  /// Membership tests go through pair_status_ instead.
   std::map<uint64_t, AskedPair> asked_;
+  /// Bits of pair_status_.
+  enum PairStatus : uint8_t {
+    kAsked = 1,         ///< posted to the crowd (sticky: never cleared)
+    kInferred = 2,      ///< resolved by the closure (cleared by a retraction)
+    kReaskPending = 4,  ///< retracted, queued for its re-ask, not yet posted
+  };
+  /// One status byte per global pair index (sized at Start): the O(1)
+  /// membership test SweepClosure runs for every pending pair of every
+  /// sweep. A pair with any bit set is no longer a question of any context.
+  std::vector<uint8_t> pair_status_;
   /// One closure-resolved pair: identity and the inferred verdict.
   struct InferredPair {
     similarity::ScoredPair pair;
@@ -315,10 +328,11 @@ class WorkflowDriver {
   std::unordered_map<uint64_t, uint64_t> inferred_key_;
   /// Pairs inferred since the last FinishRound (the per-round savings stat).
   uint64_t inferred_new_ = 0;
+  /// Retracted pairs the pending round re-asks (its pairs_reasked stat).
+  uint64_t reasked_new_ = 0;
   /// Retracted pairs awaiting their conservative re-ask, in retraction
-  /// order; reask_pending_ mirrors it for membership checks.
+  /// order (each marked kReaskPending until posted).
   std::vector<PendingQuestion> reask_queue_;
-  std::unordered_set<uint64_t> reask_pending_;
   /// banned_workers_ size at the last closure (re)build — the trigger for
   /// MaybeRebuildClosure.
   size_t banned_seen_ = 0;

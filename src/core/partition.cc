@@ -97,23 +97,36 @@ Status VoteShardStore::Append(uint64_t global_pair_index, const aggregate::Vote&
 
 Status VoteShardStore::Finish() { return store_.Finish(); }
 
-Result<aggregate::VoteTable> VoteShardStore::LoadShard(size_t shard) {
+Status VoteShardStore::WithShard(
+    size_t shard, const std::function<Status(const aggregate::VoteShardView&)>& fn) {
   if (shard >= counts_.size()) {
     return Status::OutOfRange("shard " + std::to_string(shard) + " of " +
                               std::to_string(counts_.size()));
   }
-  aggregate::VoteTable table(static_cast<size_t>(counts_[shard]));
-  // Append-order replay + stable per-pair grouping preserves cast order.
+  const size_t num_pairs = static_cast<size_t>(counts_[shard]);
+  replayed_.clear();
   CROWDER_RETURN_NOT_OK(store_.Scan(shard, [&](const std::vector<PackedVote>& block) {
-    for (const PackedVote& v : block) {
-      if (v.local_index >= table.size()) {
-        return Status::OutOfRange("vote beyond shard pair count");
-      }
-      table[v.local_index].push_back({v.worker_id, v.says_match != 0});
-    }
+    replayed_.insert(replayed_.end(), block.begin(), block.end());
     return Status::OK();
   }));
-  return table;
+
+  // Stable counting sort on the local index. After the count and the
+  // running sum, offsets[i] is the end of pair i's run; placing the records
+  // back to front moves each run's end down to its start, and equal keys
+  // land in append (= cast) order.
+  std::vector<uint64_t>& offsets = lent_.offsets;
+  offsets.assign(num_pairs + 1, 0);
+  for (const PackedVote& v : replayed_) {
+    if (v.local_index >= num_pairs) return Status::OutOfRange("vote beyond shard pair count");
+    ++offsets[v.local_index];
+  }
+  for (size_t i = 1; i <= num_pairs; ++i) offsets[i] += offsets[i - 1];
+  lent_.votes.resize(replayed_.size());
+  for (size_t k = replayed_.size(); k-- > 0;) {
+    const PackedVote& v = replayed_[k];
+    lent_.votes[--offsets[v.local_index]] = {v.worker_id, v.says_match != 0};
+  }
+  return fn(lent_.View());
 }
 
 // ---------------------------------------------------------------------------

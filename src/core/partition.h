@@ -178,15 +178,18 @@ class ShardedSpillStore {
   bool finished() const { return finished_; }
 
   /// \brief Visits every block of `shard` in append order. Requires
-  /// Finish(); repeatable. A non-OK status from `fn` aborts the scan.
+  /// Finish(); repeatable. A non-OK status from `fn` aborts the scan. A
+  /// block is valid only during its `fn` call (spilled blocks share one
+  /// read buffer).
   Status Scan(size_t shard, const std::function<Status(const std::vector<T>&)>& fn) const {
     CROWDER_CHECK_LT(shard, shards_.size());
     if (!finished_) return Status::InvalidArgument("Scan before Finish");
     const Shard& s = shards_[shard];
+    std::vector<T> spilled;  // one buffer for every spilled block of the scan
     for (const BlockRef& ref : s.order) {
       if (ref.spilled) {
-        CROWDER_ASSIGN_OR_RETURN(const std::vector<T> block, s.log->ReadBlock(ref.index));
-        CROWDER_RETURN_NOT_OK(fn(block));
+        CROWDER_RETURN_NOT_OK(s.log->ReadBlock(ref.index, &spilled));
+        CROWDER_RETURN_NOT_OK(fn(spilled));
       } else {
         CROWDER_RETURN_NOT_OK(fn(s.mem_blocks[ref.index]));
       }
@@ -261,9 +264,17 @@ class ShardedSpillStore {
 ///
 /// Per-pair vote order is preserved: appends arrive in global cast order
 /// (HIT order, then cast order within a HIT), each shard's log replays in
-/// append order, and `LoadShard` groups stably by pair — so the per-pair
+/// append order, and `WithShard` groups stably by pair — so the per-pair
 /// vote sequences equal the materialized table's, which keeps Dawid-Skene
 /// bitwise-identical across execution modes.
+///
+/// A shard is lent as a flat view: its replayed records are grouped by a
+/// stable counting pass on the local pair index into one vote array plus
+/// per-pair offsets. The decode buffers are members reused across loads, so
+/// after the largest shard has been lent once, a load allocates only the
+/// one read buffer Scan shares among a shard's spilled blocks, never per
+/// pair or per vote. The buffers hold one shard's records, votes and offsets
+/// (the bounded-memory unit the sharding already pays for).
 class VoteShardStore : public aggregate::VoteShardSource {
  public:
   /// \brief `shard_pair_counts[s]` is the number of pairs shard `s` covers;
@@ -273,7 +284,7 @@ class VoteShardStore : public aggregate::VoteShardSource {
   /// \brief Files one vote under the pair at `global_pair_index`.
   Status Append(uint64_t global_pair_index, const aggregate::Vote& vote);
 
-  /// \brief Seals the store; required before LoadShard.
+  /// \brief Seals the store; required before WithShard.
   Status Finish();
 
   /// \brief First global pair index shard `shard` covers.
@@ -287,7 +298,8 @@ class VoteShardStore : public aggregate::VoteShardSource {
 
   // aggregate::VoteShardSource:
   size_t num_shards() const override { return counts_.size(); }
-  Result<aggregate::VoteTable> LoadShard(size_t shard) override;
+  Status WithShard(size_t shard,
+                   const std::function<Status(const aggregate::VoteShardView&)>& fn) override;
 
  private:
   /// Fixed-width on-disk vote record (SpillLog payload).
@@ -301,6 +313,9 @@ class VoteShardStore : public aggregate::VoteShardSource {
   std::vector<uint64_t> counts_;
   std::vector<uint64_t> starts_;  ///< prefix sums of counts_
   size_t last_shard_ = 0;         ///< locality hint: votes arrive mostly in order
+  /// Decode buffers of the lent shard, reused across loads.
+  std::vector<PackedVote> replayed_;
+  aggregate::FlatShardVotes lent_;
 };
 
 /// \brief The component-aligned partition plan for cluster-based HITs:

@@ -196,16 +196,17 @@ class SpillLog {
     return BlockCursor(read_fd_, blocks_[index].offset_bytes, blocks_[index].num_records);
   }
 
-  /// \brief Reads the whole of block `index` into a vector (convenience for
-  /// consumers that replay blocks in append order).
-  Result<std::vector<T>> ReadBlock(size_t index) const {
+  /// \brief Reads the whole of block `index` into `*out`, replacing its
+  /// contents (convenience for consumers that replay blocks in append
+  /// order; reusing `out` across blocks keeps its capacity).
+  Status ReadBlock(size_t index, std::vector<T>* out) const {
     CROWDER_ASSIGN_OR_RETURN(BlockCursor cursor, OpenBlock(index));
-    std::vector<T> out(blocks_[index].num_records);
-    if (!out.empty()) {
-      CROWDER_ASSIGN_OR_RETURN(const size_t got, cursor.Read(out.data(), out.size()));
-      if (got != out.size()) return Status::IOError("spill read: truncated block");
+    out->resize(static_cast<size_t>(blocks_[index].num_records));
+    if (!out->empty()) {
+      CROWDER_ASSIGN_OR_RETURN(const size_t got, cursor.Read(out->data(), out->size()));
+      if (got != out->size()) return Status::IOError("spill read: truncated block");
     }
-    return out;
+    return Status::OK();
   }
 
  private:

@@ -319,12 +319,12 @@ Status HitGenStage::Run(WorkflowState* state) {
 namespace {
 
 // Streaming aggregation: fit (Dawid-Skene) or nothing (majority), then one
-// synchronized walk — vote shards advance in lockstep with the sorted
-// stream, so each pair meets its votes under the global index both sides
-// agree on. The per-pair probability goes through the same helpers the
-// materialized aggregators use, and shards tile the global pair order, so
-// the ranked list is bitwise the materialized one even before the final
-// sort.
+// synchronized walk — each lent vote shard draws its pairs from a cursor
+// over the sorted stream, so each pair meets its votes under the global
+// index both sides agree on. The per-pair probability goes through the same
+// helpers the materialized aggregators use, and shards tile the global pair
+// order, so the ranked list is bitwise the materialized one even before the
+// final sort.
 //
 // GCC 12 flags the inlined destructor of the Result<DawidSkeneModel>
 // temporary below with -Warray-bounds/-Wstringop-overflow false positives
@@ -339,12 +339,11 @@ Status RunStreamingAggregate(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
   if (result.num_candidate_pairs == 0 || state->votes == nullptr) return Status::OK();
-  VoteShardStore* votes = state->votes.get();
   // The revision path: banned workers' votes vanish at the shard boundary,
   // so every downstream decision is re-derived from the surviving votes —
   // while the store itself keeps the unfiltered audit truth. With no bans
   // the view is the identity and the bytes are the pre-filter ones.
-  aggregate::FilteredVoteShardSource filtered(votes, state->banned_workers);
+  aggregate::FilteredVoteShardSource filtered(state->votes.get(), state->banned_workers);
 
   aggregate::DawidSkeneModel model;
   const bool dawid_skene = config.aggregation == AggregationMethod::kDawidSkene;
@@ -354,36 +353,36 @@ Status RunStreamingAggregate(WorkflowState* state) {
 
   const data::Dataset& dataset = *state->dataset;
   result.ranked.reserve(static_cast<size_t>(result.num_candidate_pairs));
-  aggregate::VoteTable shard_votes;
-  size_t shard = 0;
-  uint64_t shard_start = 0;
-  uint64_t shard_end = 0;  // exclusive; 0 forces the first load
+  CROWDER_ASSIGN_OR_RETURN(PairStream::SortedCursor cursor, state->stream.OpenSortedCursor());
+  std::vector<similarity::ScoredPair> shard_pairs;
   uint64_t index = 0;
   // Closure-inferred verdicts override voteless pairs as the walk passes
   // them: the map is ordered by global index, the walk ascends it.
   auto inferred = state->inferred_verdicts.cbegin();
   const auto inferred_end = state->inferred_verdicts.cend();
-  CROWDER_RETURN_NOT_OK(state->stream.ScanSorted([&](const PairBlock& block) {
-    for (const auto& p : block) {
-      if (index >= shard_end) {
-        shard = index == 0 ? 0 : shard + 1;
-        CROWDER_ASSIGN_OR_RETURN(shard_votes, filtered.LoadShard(shard));
-        shard_start = votes->shard_start(shard);
-        shard_end = shard_start + votes->shard_pairs(shard);
+  for (size_t shard = 0; shard < filtered.num_shards(); ++shard) {
+    CROWDER_RETURN_NOT_OK(filtered.WithShard(shard, [&](const aggregate::VoteShardView& view) {
+      shard_pairs.clear();
+      CROWDER_ASSIGN_OR_RETURN(const size_t got, cursor.Next(view.size(), &shard_pairs));
+      if (got != view.size()) {
+        return Status::Internal("vote shards cover more pairs than the sorted stream");
       }
-      const auto& pair_votes = shard_votes[static_cast<size_t>(index - shard_start)];
-      double probability =
-          dawid_skene ? aggregate::PosteriorMatchProbability(pair_votes, model)
-                      : aggregate::MajorityMatchProbability(pair_votes);
-      if (inferred != inferred_end && inferred->first == index) {
-        probability = inferred->second ? 1.0 : 0.0;
-        ++inferred;
+      for (size_t i = 0; i < view.size(); ++i, ++index) {
+        double probability = dawid_skene
+                                 ? aggregate::PosteriorMatchProbability(view[i], model)
+                                 : aggregate::MajorityMatchProbability(view[i]);
+        if (inferred != inferred_end && inferred->first == index) {
+          probability = inferred->second ? 1.0 : 0.0;
+          ++inferred;
+        }
+        result.ranked.push_back(MakeRankedPair(shard_pairs[i], probability, dataset));
       }
-      result.ranked.push_back(MakeRankedPair(p, probability, dataset));
-      ++index;
-    }
-    return Status::OK();
-  }));
+      return Status::OK();
+    }));
+  }
+  if (index != result.num_candidate_pairs) {
+    return Status::Internal("vote shards cover fewer pairs than the sorted stream");
+  }
   eval::SortByScoreDesc(&result.ranked);
   if (!result.ranked.empty()) {
     CROWDER_ASSIGN_OR_RETURN(result.pr_curve, eval::PrCurve(result.ranked, result.total_matches));

@@ -223,6 +223,10 @@ struct CrowdRoundStats {
   /// round was being selected (kInferenceOrdered only — the per-round
   /// savings; always 0 under kFixedOrder).
   uint64_t pairs_inferred = 0;
+  /// Retracted inferences this round posted back to the crowd (the
+  /// conservative re-ask of kInferenceOrdered's retraction contract; 0 for
+  /// every other round).
+  uint64_t pairs_reasked = 0;
 };
 
 struct WorkflowResult {

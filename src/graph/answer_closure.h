@@ -42,8 +42,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "graph/union_find.h"
 
@@ -89,13 +88,23 @@ class AnswerClosure {
   void Reset();
 
  private:
+  /// Adds `enemy` to root `root`'s sorted enemy list (no-op if present).
+  void AddEnemy(uint32_t root, uint32_t enemy);
+  /// Removes `enemy` from root `root`'s sorted enemy list (no-op if absent).
+  void RemoveEnemy(uint32_t root, uint32_t enemy);
+  /// Whether roots `ra` and `rb` carry an enemy constraint.
+  bool AreEnemies(uint32_t ra, uint32_t rb) const;
+
   uint32_t num_records_;
   UnionFind dsu_;
   /// Symmetric enemy constraints between *current* cluster roots:
-  /// enemies_[r] holds every root with a non-match answer across to r. Both
-  /// directions are stored; AddAnswer re-keys entries whenever a union
-  /// retires a root, so lookups never see a stale root.
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> enemies_;
+  /// enemies_[r] is the ascending, duplicate-free list of every root with a
+  /// non-match answer across to r (empty for non-roots). Both directions are
+  /// stored; AddAnswer re-keys entries whenever a union retires a root, so
+  /// lookups never see a stale root.
+  std::vector<std::vector<uint32_t>> enemies_;
+  /// Scratch for merging a retired root's list into the winner's.
+  std::vector<uint32_t> merged_;
   uint64_t num_answers_ = 0;
   uint64_t num_contradictions_ = 0;
 };

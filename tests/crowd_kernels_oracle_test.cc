@@ -1,8 +1,10 @@
-// Oracle property tests for the three kernels of the crowd back half: the
-// top tier's seed selection (hitgen/two_tiered_generator.cc), the bottom
-// tier's branch-and-bound (lp/cutting_stock.cc), and Dawid-Skene EM
-// (aggregate/partitioned.cc). Each kernel is compared against a verbatim
-// copy of the straightforward implementation it replaced, kept here as the
+// Oracle property tests for the kernels of the crowd back half: the top
+// tier's seed selection (hitgen/two_tiered_generator.cc), the bottom tier's
+// branch-and-bound (lp/cutting_stock.cc), Dawid-Skene EM
+// (aggregate/partitioned.cc) over the spilled vote store's lent shard views
+// (core/partition.cc), and the adaptive loop's answer closure
+// (graph/answer_closure.cc). Each kernel is compared against a verbatim copy
+// of the straightforward implementation it replaced, kept here as the
 // oracle, on seeded random inputs: the outputs must be equal — bitwise for
 // the floating-point ones.
 #include <gtest/gtest.h>
@@ -10,14 +12,20 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "aggregate/agreement.h"
 #include "aggregate/dawid_skene.h"
 #include "aggregate/partitioned.h"
 #include "common/rng.h"
+#include "core/partition.h"
+#include "graph/answer_closure.h"
 #include "graph/connected_components.h"
 #include "graph/pair_graph.h"
+#include "graph/union_find.h"
 #include "hitgen/two_tiered_generator.h"
 #include "lp/cutting_stock.h"
 
@@ -663,6 +671,112 @@ TEST(DawidSkeneOracleTest, DenseEmMatchesTheMapBasedEm) {
   }
 }
 
+TEST(DawidSkeneOracleTest, SpilledStoreBehindBanFilterMatchesMaterializedTable) {
+  // The streaming aggregation path end to end: votes filed into a spilling
+  // VoteShardStore in an interleaved cast order, lent shard by shard as flat
+  // views through a ban filter, must fit the model, iteration count and
+  // posteriors that RunDawidSkene fits on the materialized filtered table.
+  Rng rng(9241);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::string where = "trial " + std::to_string(trial);
+    std::vector<uint32_t> ids(4 + rng.Uniform(24));
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(10 * i + 1);
+    const uint64_t capacity = 16 + rng.Uniform(24);
+    const size_t num_pairs = 8 * capacity + rng.Uniform(300);  // 8+ shards
+    VoteTable votes = RandomVotes(&rng, num_pairs, ids);       // ~10% voteless
+    const std::vector<uint64_t> counts = core::TileShardCounts(num_pairs, capacity);
+    ASSERT_GE(counts.size(), 8u) << where;
+    // A worker first seen in the last shard: EM assigns it a slot on the
+    // last load of pass 0.
+    const uint32_t latecomer = 7;
+    for (size_t i = num_pairs - counts.back(); i < num_pairs; i += 3) {
+      votes[i].push_back({latecomer, rng.Bernoulli(0.5)});
+    }
+
+    // File the votes in a global cast order that interleaves pairs across
+    // shards while keeping each pair's own votes in order.
+    core::VoteShardStore store(/*memory_budget_bytes=*/512, counts);
+    std::vector<size_t> next(num_pairs, 0);
+    std::vector<size_t> open;
+    for (size_t i = 0; i < num_pairs; ++i) {
+      if (!votes[i].empty()) open.push_back(i);
+    }
+    while (!open.empty()) {
+      const size_t k = rng.Uniform(open.size());
+      const size_t pair = open[k];
+      ASSERT_TRUE(store.Append(pair, votes[pair][next[pair]++]).ok());
+      if (next[pair] == votes[pair].size()) {
+        open[k] = open.back();
+        open.pop_back();
+      }
+    }
+    ASSERT_TRUE(store.Finish().ok());
+    ASSERT_GT(store.spilled_bytes(), 0u) << where;
+
+    // Every lent view holds each pair's votes in cast order, as does the
+    // copy LoadShard makes.
+    const auto same_votes = [](aggregate::VoteSpan got, const std::vector<Vote>& want) {
+      if (got.size() != want.size()) return false;
+      for (size_t v = 0; v < want.size(); ++v) {
+        if (got[v].worker_id != want[v].worker_id || got[v].says_match != want[v].says_match) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (size_t shard = 0; shard < store.num_shards(); ++shard) {
+      const uint64_t start = store.shard_start(shard);
+      const VoteTable loaded = store.LoadShard(shard).ValueOrDie();
+      ASSERT_EQ(loaded.size(), counts[shard]);
+      const Status lent = store.WithShard(shard, [&](const aggregate::VoteShardView& view) {
+        EXPECT_EQ(view.size(), counts[shard]);
+        for (size_t i = 0; i < view.size(); ++i) {
+          EXPECT_TRUE(same_votes(view[i], votes[start + i])) << where << " pair " << start + i;
+          EXPECT_TRUE(same_votes(loaded[i], votes[start + i])) << where << " pair " << start + i;
+        }
+        return Status::OK();
+      });
+      ASSERT_TRUE(lent.ok()) << lent.ToString();
+    }
+
+    std::unordered_set<uint32_t> banned;
+    for (uint32_t id : ids) {
+      if (rng.Bernoulli(0.3)) banned.insert(id);
+    }
+    VoteTable surviving = votes;
+    aggregate::RemoveVotesFrom(&surviving, banned);
+    const auto want = aggregate::RunDawidSkene(surviving).ValueOrDie();
+
+    aggregate::FilteredVoteShardSource filtered(&store, banned);
+    const auto got = Fit(&filtered, {});
+    EXPECT_EQ(got.class_prior, want.class_prior) << where;
+    EXPECT_EQ(got.iterations, want.iterations) << where;
+    EXPECT_EQ(got.converged, want.converged) << where;
+    EXPECT_EQ(got.workers.count(latecomer), 1u) << where;
+    ASSERT_EQ(got.workers.size(), want.workers.size()) << where;
+    for (const auto& [id, w] : want.workers) {
+      const auto it = got.workers.find(id);
+      ASSERT_NE(it, got.workers.end()) << where << " worker " << id;
+      EXPECT_EQ(it->second.sensitivity, w.sensitivity) << where << " worker " << id;
+      EXPECT_EQ(it->second.specificity, w.specificity) << where << " worker " << id;
+      EXPECT_EQ(it->second.num_votes, w.num_votes) << where << " worker " << id;
+    }
+    for (size_t shard = 0; shard < filtered.num_shards(); ++shard) {
+      const uint64_t start = store.shard_start(shard);
+      const Status lent = filtered.WithShard(shard, [&](const aggregate::VoteShardView& view) {
+        for (size_t i = 0; i < view.size(); ++i) {
+          EXPECT_TRUE(same_votes(view[i], surviving[start + i])) << where << " pair " << start + i;
+          EXPECT_EQ(aggregate::PosteriorMatchProbability(view[i], got),
+                    want.match_probability[start + i])
+              << where << " pair " << start + i;
+        }
+        return Status::OK();
+      });
+      ASSERT_TRUE(lent.ok()) << lent.ToString();
+    }
+  }
+}
+
 TEST(WorkerSlotsTest, FirstSeenOrderOverAnyIdSpace) {
   aggregate::WorkerSlots slots;
   const std::vector<uint32_t> ids{7, UINT32_MAX, 0, 4000000000u, 3, UINT32_MAX - 1, 1500, 7};
@@ -675,6 +789,153 @@ TEST(WorkerSlotsTest, FirstSeenOrderOverAnyIdSpace) {
   }
   EXPECT_EQ(slots.Find(8), aggregate::WorkerSlots::kNone);
   EXPECT_EQ(slots.Find(UINT32_MAX - 2), aggregate::WorkerSlots::kNone);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 4: the answer closure with hash-set enemy constraints.
+// ---------------------------------------------------------------------------
+
+class OracleAnswerClosure {
+ public:
+  explicit OracleAnswerClosure(uint32_t num_records)
+      : num_records_(num_records), dsu_(num_records) {}
+
+  void AddAnswer(uint32_t a, uint32_t b, bool is_match) {
+    if (a == b || a >= num_records_ || b >= num_records_) return;
+    ++num_answers_;
+    uint32_t ra = dsu_.Find(a);
+    uint32_t rb = dsu_.Find(b);
+
+    if (!is_match) {
+      if (ra == rb) {
+        ++num_contradictions_;
+        return;
+      }
+      enemies_[ra].insert(rb);
+      enemies_[rb].insert(ra);
+      return;
+    }
+
+    if (ra == rb) return;
+    auto between = enemies_.find(ra);
+    if (between != enemies_.end() && between->second.count(rb) != 0) {
+      ++num_contradictions_;
+      between->second.erase(rb);
+      enemies_[rb].erase(ra);
+    }
+    dsu_.Union(ra, rb);
+    const uint32_t winner = dsu_.Find(ra);
+    const uint32_t loser = winner == ra ? rb : ra;
+
+    auto retired = enemies_.find(loser);
+    if (retired != enemies_.end()) {
+      for (const uint32_t enemy : retired->second) {
+        enemies_[enemy].erase(loser);
+        enemies_[enemy].insert(winner);
+        enemies_[winner].insert(enemy);
+      }
+      enemies_.erase(retired);
+    }
+  }
+
+  std::optional<bool> Infer(uint32_t a, uint32_t b) {
+    if (a >= num_records_ || b >= num_records_) return std::nullopt;
+    if (a == b) return true;
+    const uint32_t ra = dsu_.Find(a);
+    const uint32_t rb = dsu_.Find(b);
+    if (ra == rb) return true;
+    const auto it = enemies_.find(ra);
+    if (it != enemies_.end() && it->second.count(rb) != 0) return false;
+    return std::nullopt;
+  }
+
+  uint64_t num_answers() const { return num_answers_; }
+  uint64_t num_contradictions() const { return num_contradictions_; }
+
+  void Reset() {
+    dsu_ = graph::UnionFind(num_records_);
+    enemies_.clear();
+    num_answers_ = 0;
+    num_contradictions_ = 0;
+  }
+
+ private:
+  uint32_t num_records_;
+  graph::UnionFind dsu_;
+  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> enemies_;
+  uint64_t num_answers_ = 0;
+  uint64_t num_contradictions_ = 0;
+};
+
+struct Answer {
+  uint32_t a;
+  uint32_t b;
+  bool is_match;
+};
+
+// A random answer stream over `n` records with the shapes that stress the
+// enemy re-keying: a hub voted apart from 50+ records (its root is then
+// retired into a larger cluster), constraints both merging sides carry, and
+// noisy answers that contradict the closure in both directions.
+std::vector<Answer> RandomAnswers(Rng* rng, uint32_t n) {
+  std::vector<Answer> answers;
+  const auto record = [&] { return static_cast<uint32_t>(rng->Uniform(n)); };
+  // The hub: 0 against 60 distinct records, while 1..4 form a cluster.
+  for (uint32_t e = 10; e < 70; ++e) answers.push_back({0, e, false});
+  for (uint32_t r = 2; r <= 4; ++r) answers.push_back({1, r, true});
+  // Constraints both sides carry before they merge.
+  for (uint32_t e = 20; e < 30; ++e) answers.push_back({1, e, false});
+  answers.push_back({0, 1, true});  // the hub's root retires into 1's cluster
+  const size_t random = 200 + rng->Uniform(400);
+  for (size_t i = 0; i < random; ++i) {
+    answers.push_back({record(), record(), rng->Bernoulli(0.35)});
+  }
+  // More hubs, retired one after another.
+  for (uint32_t hub = 100; hub < 103; ++hub) {
+    for (size_t k = 0; k < 55; ++k) answers.push_back({hub, record(), false});
+    answers.push_back({hub, record(), true});
+  }
+  return answers;
+}
+
+void ExpectSameClosure(graph::AnswerClosure* got, OracleAnswerClosure* want, uint32_t n,
+                       const std::string& where) {
+  EXPECT_EQ(got->num_answers(), want->num_answers()) << where;
+  EXPECT_EQ(got->num_contradictions(), want->num_contradictions()) << where;
+  for (uint32_t a = 0; a < n; ++a) {
+    for (uint32_t b = 0; b < n; ++b) {
+      ASSERT_EQ(got->Infer(a, b), want->Infer(a, b)) << where << " pair " << a << "," << b;
+    }
+  }
+}
+
+TEST(AnswerClosureOracleTest, EnemyListsMatchTheHashSetClosure) {
+  Rng rng(4404);
+  for (int trial = 0; trial < 8; ++trial) {
+    const uint32_t n = 120 + static_cast<uint32_t>(rng.Uniform(120));
+    const std::vector<Answer> answers = RandomAnswers(&rng, n);
+    graph::AnswerClosure got(n);
+    OracleAnswerClosure want(n);
+    const std::string where = "trial " + std::to_string(trial);
+    for (size_t i = 0; i < answers.size(); ++i) {
+      got.AddAnswer(answers[i].a, answers[i].b, answers[i].is_match);
+      want.AddAnswer(answers[i].a, answers[i].b, answers[i].is_match);
+      EXPECT_EQ(got.num_contradictions(), want.num_contradictions()) << where << " answer " << i;
+      if (i % 97 == 0) ExpectSameClosure(&got, &want, n, where + " answer " + std::to_string(i));
+    }
+    ExpectSameClosure(&got, &want, n, where + " end");
+
+    // Reset, then replay a prefix: the retraction contract's rebuild.
+    got.Reset();
+    want.Reset();
+    ExpectSameClosure(&got, &want, n, where + " reset");
+    const size_t replay = answers.size() / 2 + rng.Uniform(answers.size() / 2);
+    for (size_t i = 0; i < replay; ++i) {
+      got.AddAnswer(answers[i].a, answers[i].b, answers[i].is_match);
+      want.AddAnswer(answers[i].a, answers[i].b, answers[i].is_match);
+    }
+    ExpectSameClosure(&got, &want, n, where + " replay");
+  }
 }
 
 }  // namespace

@@ -403,6 +403,101 @@ TEST(GoldenWorkflowTest, AdaptiveSelectionGoldenIsStable) {
   }
 }
 
+// The crowd-heavy benchmark shape at golden scale: adaptive selection over a
+// streaming run whose vote shards spill. Every layer the bounded-memory crowd
+// loop touches feeds one of these numbers: the spilled vote shards read back
+// once per EM pass, the pending-pair sweep, and the answer closure's
+// inferences.
+WorkflowConfig AdaptiveStreamingConfig() {
+  WorkflowConfig config = GoldenConfig();
+  config.question_policy = QuestionPolicyKind::kInferenceOrdered;
+  config.execution_mode = ExecutionMode::kStreaming;
+  config.memory_budget_bytes = 4 * 1024;  // forces the vote shards to spill
+  config.crowd_partition_pairs = 64;
+  return config;
+}
+
+struct RankedHead {
+  uint32_t a;
+  uint32_t b;
+  double score;
+};
+
+void ExpectRankedHead(const WorkflowResult& result, const RankedHead* head, size_t n) {
+  ASSERT_GE(result.ranked.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(result.ranked[i].a, head[i].a) << "rank " << i;
+    EXPECT_EQ(result.ranked[i].b, head[i].b) << "rank " << i;
+    EXPECT_EQ(result.ranked[i].score, head[i].score) << "rank " << i;
+  }
+}
+
+TEST(GoldenWorkflowTest, AdaptiveStreamingClusterGoldenIsStable) {
+  const data::Dataset dataset = SmallRestaurant();
+  auto result = HybridWorkflow(AdaptiveStreamingConfig()).Run(dataset);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_GT(result->pipeline_stats.vote_spilled_bytes, 0u) << "the budget must bite";
+  EXPECT_EQ(result->num_candidate_pairs, 234u);
+  EXPECT_EQ(result->crowd_pairs_asked, 227u);
+  EXPECT_EQ(result->pairs_inferred, 7u);
+  EXPECT_EQ(result->crowd_stats.num_hits, 46u);
+  EXPECT_EQ(result->crowd_stats.num_assignments, 138u);
+  EXPECT_EQ(result->crowd_rounds.size(), 14u);
+  EXPECT_EQ(eval::BestF1(result->pr_curve), 0.88888888888888895);
+
+  const RankedHead head[] = {
+      {120, 121, 0.99947920691179426}, {134, 135, 0.99947919834036569},
+      {156, 157, 0.99779037317743813}, {114, 115, 0.99680539967190163},
+      {116, 117, 0.99595005038744877},
+  };
+  ExpectRankedHead(*result, head, std::size(head));
+}
+
+TEST(GoldenWorkflowTest, AdaptiveStreamingHostilePairGoldenIsStable) {
+  // The defended variant: a hostile pool, the approval-rate filter and pair
+  // HITs, so bans, the filtered shard view aggregation reads, repair rounds
+  // and the retraction/re-ask path all shape the pinned numbers. The larger
+  // dataset is what it takes for a ban to retract an inference.
+  data::RestaurantConfig data_config;
+  data_config.num_records = 400;
+  data_config.num_duplicate_pairs = 80;
+  data_config.num_chains = 8;
+  data_config.seed = 20260730;
+  const data::Dataset dataset = data::GenerateRestaurant(data_config).ValueOrDie();
+  WorkflowConfig config = AdaptiveStreamingConfig();
+  config.hit_type = HitType::kPairBased;
+  config.pairs_per_hit = 10;
+  config.crowd.reliable_fraction = 0.46;
+  config.crowd.noisy_fraction = 0.18;
+  config.crowd.colluder_fraction = 0.13;
+  config.crowd.sleeper_fraction = 0.08;
+  config.async_crowd = true;
+  config.filter_workers = true;
+  auto result = HybridWorkflow(config).Run(dataset);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_GT(result->pipeline_stats.vote_spilled_bytes, 0u) << "the budget must bite";
+  uint64_t reasked = 0;
+  for (const auto& round : result->crowd_rounds) reasked += round.pairs_reasked;
+  EXPECT_GT(reasked, 0u) << "the retraction path must fire";
+  EXPECT_EQ(result->filtered_workers.size(), 70u);
+  EXPECT_EQ(result->num_candidate_pairs, 1944u);
+  EXPECT_EQ(result->crowd_pairs_asked, 1886u);
+  EXPECT_EQ(result->pairs_inferred, 58u);
+  EXPECT_EQ(result->crowd_stats.num_hits, 407u);
+  EXPECT_EQ(result->crowd_stats.num_assignments, 1221u);
+  EXPECT_EQ(result->crowd_rounds.size(), 171u);
+  EXPECT_EQ(eval::BestF1(result->pr_curve), 0.95597484276729561);
+
+  const RankedHead head[] = {
+      {240, 241, 0.99999992956554373}, {244, 245, 0.99999992956554373},
+      {246, 247, 0.99999991946453359}, {308, 309, 0.99999958025964697},
+      {310, 311, 0.99999958025964697},
+  };
+  ExpectRankedHead(*result, head, std::size(head));
+}
+
 TEST(GoldenWorkflowTest, RerunIsBitwiseIdentical) {
   // Same config + same dataset must reproduce the identical ranked list —
   // the determinism contract the golden values above rely on.

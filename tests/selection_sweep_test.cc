@@ -165,6 +165,46 @@ TEST(SelectionSweepTest, HostilePoolSweepPassesThroughAdaptivePolicy) {
   EXPECT_LT(result.crowd_pairs_asked, result.num_candidate_pairs);
 }
 
+TEST(SelectionSweepTest, HostileClusterHitSweepReasksWithClusterHits) {
+  // The cluster-HIT twin of the sweep above. A crowd session carries one HIT
+  // interface from its first HIT on, so when a ban retracts an inference the
+  // re-ask must go out as cluster HITs too; posting pair HITs into a
+  // cluster-HIT session fails the run. Both execution modes, the streaming
+  // one with its vote shards spilled.
+  const auto dataset = SweepDataset();
+  WorkflowConfig clean = SweepConfig();
+  clean.hit_type = HitType::kClusterBased;
+  clean.cluster_size = 5;
+  const double clean_f1 = eval::BestF1(RunWorkflow(clean, dataset).pr_curve);
+
+  WorkflowConfig defended = clean;
+  defended.question_policy = QuestionPolicyKind::kInferenceOrdered;
+  MakeHostile(&defended.crowd);
+  defended.async_crowd = true;
+  defended.filter_workers = true;
+
+  WorkflowConfig streaming = defended;
+  streaming.execution_mode = ExecutionMode::kStreaming;
+  streaming.memory_budget_bytes = 4 * 1024;  // forced spill
+  streaming.crowd_partition_pairs = 256;
+
+  for (const WorkflowConfig& config : {defended, streaming}) {
+    const bool is_streaming = config.execution_mode == ExecutionMode::kStreaming;
+    SCOPED_TRACE(is_streaming ? "streaming" : "materialized");
+    const WorkflowResult result = RunWorkflow(config, dataset);
+    uint64_t reasked = 0;
+    for (const auto& round : result.crowd_rounds) reasked += round.pairs_reasked;
+    EXPECT_GT(reasked, 0u) << "a ban must retract an inference and post its re-ask";
+    EXPECT_GE(eval::BestF1(result.pr_curve), 0.9 * clean_f1);
+    EXPECT_FALSE(result.filtered_workers.empty());
+    EXPECT_GT(result.pairs_inferred, 0u);
+    EXPECT_EQ(result.crowd_pairs_asked + result.pairs_inferred, result.num_candidate_pairs);
+    if (is_streaming) {
+      EXPECT_GT(result.pipeline_stats.vote_spilled_bytes, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace crowder
