@@ -15,9 +15,9 @@ namespace aggregate {
 /// (`MajorityMatchProbability` applied to every pair). Pairs with no votes
 /// get `kUnjudgedMatchProbability` (never asked means not confirmed).
 ///
-/// Because each pair is scored independently, the sharded form
-/// (`MajorityVoteSharded`, aggregate/partitioned.h) is bitwise-identical to
-/// this one at any partitioning of the table.
+/// Because each pair is scored independently, scoring a sharded table one
+/// lent shard at a time (aggregate/partitioned.h) is bitwise-identical to
+/// this at any partitioning.
 std::vector<double> MajorityVote(const VoteTable& votes);
 
 }  // namespace aggregate

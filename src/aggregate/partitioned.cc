@@ -69,23 +69,6 @@ Status FilteredVoteShardSource::WithShard(size_t shard,
   });
 }
 
-Status MajorityVoteSharded(
-    VoteShardSource* shards,
-    const std::function<Status(size_t shard, const std::vector<double>&)>& emit) {
-  CROWDER_CHECK(shards != nullptr);
-  std::vector<double> probabilities;
-  for (size_t shard = 0; shard < shards->num_shards(); ++shard) {
-    CROWDER_RETURN_NOT_OK(shards->WithShard(shard, [&](const VoteShardView& view) {
-      probabilities.assign(view.size(), kUnjudgedMatchProbability);
-      for (size_t i = 0; i < view.size(); ++i) {
-        probabilities[i] = MajorityMatchProbability(view[i]);
-      }
-      return emit(shard, probabilities);
-    }));
-  }
-  return Status::OK();
-}
-
 uint32_t WorkerSlots::Insert(uint32_t id) {
   const auto [it, inserted] = slot_of_.emplace(id, static_cast<uint32_t>(ids_.size()));
   if (inserted) ids_.push_back(id);

@@ -11,8 +11,8 @@
 /// spill file; see `VoteShardStore` in core/partition.h). Aggregation then
 /// runs with only **one resident shard plus O(#workers) model state**:
 ///
-///  * `MajorityVoteSharded` scores each shard independently — pairs are
-///    independent under majority vote, so the sharded result is
+///  * Majority vote needs no fit: `MajorityMatchProbability` scores each
+///    lent pair independently, so reading it shard by shard is
 ///    bitwise-identical to `MajorityVote` on the concatenated table at any
 ///    partitioning.
 ///  * `FitDawidSkeneSharded` runs the EM of `RunDawidSkene` as repeated
@@ -165,14 +165,6 @@ class FilteredVoteShardSource : public VoteShardSource {
   std::unordered_set<uint32_t> banned_;
   FlatShardVotes surviving_;
 };
-
-/// \brief Majority vote, one shard at a time: for each shard in order,
-/// `emit(shard, probabilities)` receives the per-pair probabilities of that
-/// shard (aligned to the shard's local indices). Bitwise-identical to
-/// `MajorityVote` over the concatenated table.
-Status MajorityVoteSharded(
-    VoteShardSource* shards,
-    const std::function<Status(size_t shard, const std::vector<double>&)>& emit);
 
 /// \brief Worker ids mapped to dense slots `[0, size())` in first-seen
 /// order: how the EM indexes its per-worker state. A hash map keyed by id,

@@ -21,7 +21,8 @@ std::string PairName(uint32_t a, uint32_t b) {
 
 }  // namespace
 
-WorkflowDriver::WorkflowDriver(WorkflowConfig config) : config_(std::move(config)) {}
+WorkflowDriver::WorkflowDriver(WorkflowConfig config)
+    : config_(EffectiveWorkflowConfig(std::move(config))) {}
 WorkflowDriver::~WorkflowDriver() = default;
 
 Status WorkflowDriver::Start(const data::Dataset& dataset) {
@@ -49,30 +50,28 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
   CROWDER_RETURN_NOT_OK(pipeline.Run(state_.get(), &state_->result.pipeline_stats));
   if (adaptive()) pair_status_.assign(state_->result.num_candidate_pairs, 0);
 
-  // Round-source setup. Mirrors the pre-driver crowd stage exactly: the
-  // pair route fixes the partition/shard layout up front; the cluster route
-  // sizes HIT ranges so one range's pair context stays within the partition
-  // capacity (a HIT of k records references at most k(k-1)/2 pairs).
+  // Round-source setup: the vote store tiles the global pair order into
+  // partitions. The pair route draws one partition per round, aligned to
+  // whole HITs; the cluster route sizes HIT ranges so one range's pair
+  // context stays within the partition capacity (a HIT of k records
+  // references at most k(k-1)/2 pairs).
   const uint64_t total = state_->result.num_candidate_pairs;
-  if (config_.execution_mode == ExecutionMode::kStreaming && total > 0) {
-    if (config_.hit_type == HitType::kPairBased) {
-      aligned_capacity_ =
-          AlignedPartitionCapacity(state_->partition_capacity, config_.pairs_per_hit);
-      state_->votes = std::make_unique<VoteShardStore>(
-          config_.memory_budget_bytes, TileShardCounts(total, aligned_capacity_));
+  if (total > 0) {
+    const bool pair_based = config_.hit_type == HitType::kPairBased;
+    const uint64_t capacity =
+        pair_based ? AlignedPartitionCapacity(state_->partition_capacity, config_.pairs_per_hit)
+                   : state_->partition_capacity;
+    state_->votes = std::make_unique<VoteShardStore>(config_.memory_budget_bytes,
+                                                     TileShardCounts(total, capacity));
+    if (pair_based) {
+      aligned_capacity_ = capacity;
       state_->result.pipeline_stats.crowd_partitions = state_->votes->num_shards();
       CROWDER_ASSIGN_OR_RETURN(auto cursor, state_->stream.OpenSortedCursor());
       cursor_.emplace(std::move(cursor));
     } else {
-      const uint64_t capacity = state_->partition_capacity;
-      state_->votes = std::make_unique<VoteShardStore>(config_.memory_budget_bytes,
-                                                       TileShardCounts(total, capacity));
       const uint64_t k = config_.cluster_size;
       const uint64_t context_per_hit = std::max<uint64_t>(1, k * (k - 1) / 2);
-      hits_per_range_ =
-          capacity == UINT64_MAX
-              ? std::max<size_t>(state_->cluster_hits.size(), 1)
-              : static_cast<size_t>(std::max<uint64_t>(1, capacity / context_per_hit));
+      hits_per_range_ = static_cast<size_t>(std::max<uint64_t>(1, capacity / context_per_hit));
       CROWDER_RETURN_NOT_OK(BuildClusterRangeIndex());
     }
   }
@@ -88,56 +87,48 @@ void WorkflowDriver::IndexRoundPairs(const std::vector<similarity::ScoredPair>& 
   }
 }
 
-Status WorkflowDriver::PrepareMaterializedRound() {
-  if (next_hit_ > 0) return Status::OK();  // the single all-HITs round was served
-  const auto& pairs = state_->result.candidate_pairs;
-  if (state_->pair_hits.empty() && state_->cluster_hits.empty()) return Status::OK();
-  IndexRoundPairs(pairs);
-  round_global_index_.resize(pairs.size());
-  std::iota(round_global_index_.begin(), round_global_index_.end(), uint64_t{0});
-  vote_table_.assign(pairs.size(), {});
-  pending_.first_hit = 0;
-  pending_.pairs = &pairs;
-  if (!state_->pair_hits.empty()) {
-    pending_.pair_hits = &state_->pair_hits;
-  } else {
-    pending_.cluster_hits = &state_->cluster_hits;
-  }
+Status WorkflowDriver::PackPairHits(const std::vector<graph::Edge>& edges) {
+  hitgen::PairHitPacker packer(config_.pairs_per_hit);
+  CROWDER_RETURN_NOT_OK(packer.Add(edges));
+  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
+  pending_.pair_hits = &round_pair_hits_;
   return Status::OK();
 }
 
-Status WorkflowDriver::PreparePairPartitionRound() {
+Result<uint64_t> WorkflowDriver::NextPairPartition(std::vector<similarity::ScoredPair>* pairs) {
+  const uint64_t first = next_pair_base_;
   const uint64_t total = state_->result.num_candidate_pairs;
-  if (next_pair_base_ >= total) return Status::OK();
-  const uint64_t want = std::min<uint64_t>(aligned_capacity_, total - next_pair_base_);
-  round_pairs_.reserve(static_cast<size_t>(want));
-  CROWDER_ASSIGN_OR_RETURN(const size_t got,
-                           cursor_->Next(static_cast<size_t>(want), &round_pairs_));
-  if (got == 0) return Status::OK();
+  if (first >= total) return first;
+  const uint64_t want = std::min<uint64_t>(aligned_capacity_, total - first);
+  pairs->reserve(pairs->size() + static_cast<size_t>(want));
+  CROWDER_ASSIGN_OR_RETURN(const size_t got, cursor_->Next(static_cast<size_t>(want), pairs));
+  next_pair_base_ += got;
+  return first;
+}
 
-  // Pack this partition's HITs — identical to the materialized pack because
-  // the partition capacity is a multiple of pairs_per_hit.
-  hitgen::PairHitPacker packer(config_.pairs_per_hit);
+Status WorkflowDriver::PreparePairPartitionRound() {
+  CROWDER_ASSIGN_OR_RETURN(const uint64_t first, NextPairPartition(&round_pairs_));
+  if (round_pairs_.empty()) return Status::OK();
+
+  // Pack this partition's HITs — identical to packing the whole sorted list
+  // because the partition capacity is a multiple of pairs_per_hit.
   std::vector<graph::Edge> edges;
   edges.reserve(round_pairs_.size());
   for (const auto& p : round_pairs_) edges.push_back({p.a, p.b});
-  CROWDER_RETURN_NOT_OK(packer.Add(edges));
-  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
+  CROWDER_RETURN_NOT_OK(PackPairHits(edges));
 
   IndexRoundPairs(round_pairs_);
   round_global_index_.resize(round_pairs_.size());
-  std::iota(round_global_index_.begin(), round_global_index_.end(), next_pair_base_);
+  std::iota(round_global_index_.begin(), round_global_index_.end(), first);
   pending_.first_hit = next_hit_;
   pending_.pairs = &round_pairs_;
-  pending_.pair_hits = &round_pair_hits_;
-  next_pair_base_ += got;
   return Status::OK();
 }
 
 Status WorkflowDriver::BuildClusterRangeIndex() {
   WallTimer index_timer;
   const auto& hits = state_->cluster_hits;
-  const ComponentBucketPlan& plan = *state_->buckets;
+  const size_t num_buckets = state_->bucket_pairs->num_shards();
   const size_t num_ranges = (hits.size() + hits_per_range_ - 1) / hits_per_range_;
 
   // Per-record ascending, deduplicated list of the HIT ranges referencing
@@ -164,7 +155,7 @@ Status WorkflowDriver::BuildClusterRangeIndex() {
   // deficient pairs in context order.
   range_pairs_ = std::make_unique<ShardedSpillStore<IndexedPair>>(config_.memory_budget_bytes);
   range_pairs_->AddShards(num_ranges);
-  for (uint32_t bucket = 0; bucket < plan.num_buckets(); ++bucket) {
+  for (size_t bucket = 0; bucket < num_buckets; ++bucket) {
     CROWDER_RETURN_NOT_OK(
         state_->bucket_pairs->Scan(bucket, [&](const std::vector<IndexedPair>& block) {
           for (const auto& ip : block) {
@@ -198,35 +189,41 @@ Status WorkflowDriver::BuildClusterRangeIndex() {
   return Status::OK();
 }
 
-Status WorkflowDriver::PrepareClusterRangeRound() {
-  const auto& hits = state_->cluster_hits;
-  if (next_range_begin_ >= hits.size()) return Status::OK();
+Result<bool> WorkflowDriver::NextClusterRange(
+    std::vector<hitgen::ClusterBasedHit>* hits,
+    const std::function<void(const IndexedPair&)>& visit) {
+  const auto& all = state_->cluster_hits;
+  if (next_range_begin_ >= all.size()) return false;
   WallTimer context_timer;
   const size_t begin = next_range_begin_;
-  const size_t end = std::min(hits.size(), begin + hits_per_range_);
+  const size_t end = std::min(all.size(), begin + hits_per_range_);
+  CROWDER_RETURN_NOT_OK(range_pairs_->Scan(begin / hits_per_range_,
+                                           [&](const std::vector<IndexedPair>& block) {
+                                             for (const auto& ip : block) visit(ip);
+                                             return Status::OK();
+                                           }));
+  hits->assign(all.begin() + begin, all.begin() + end);
+  next_range_begin_ = end;
+  state_->result.pipeline_stats.cluster_context_wall_ms += context_timer.ElapsedMillis();
+  return true;
+}
 
+Status WorkflowDriver::PrepareClusterRangeRound() {
   // The range's pair context — the candidate pairs among its records, with
   // their global indices — is its shard of the inverted pair→HIT-range
   // index, replayed in append order. Simulating (or answering) a cluster
   // HIT only ever looks up pairs among that HIT's records, so this context
   // answers exactly the lookups the full pair index would.
-  round_global_index_.clear();
-  CROWDER_RETURN_NOT_OK(range_pairs_->Scan(
-      begin / hits_per_range_, [&](const std::vector<IndexedPair>& block) {
-        for (const auto& ip : block) {
-          round_pairs_.push_back(ip.pair);
-          round_global_index_.push_back(ip.index);
-        }
-        return Status::OK();
-      }));
-
-  round_cluster_hits_.assign(hits.begin() + begin, hits.begin() + end);
+  CROWDER_ASSIGN_OR_RETURN(const bool drawn,
+                           NextClusterRange(&round_cluster_hits_, [&](const IndexedPair& ip) {
+                             round_pairs_.push_back(ip.pair);
+                             round_global_index_.push_back(ip.index);
+                           }));
+  if (!drawn) return Status::OK();
   IndexRoundPairs(round_pairs_);
   pending_.first_hit = next_hit_;
   pending_.pairs = &round_pairs_;
   pending_.cluster_hits = &round_cluster_hits_;
-  next_range_begin_ = end;
-  state_->result.pipeline_stats.cluster_context_wall_ms += context_timer.ElapsedMillis();
   return Status::OK();
 }
 
@@ -281,56 +278,23 @@ Status WorkflowDriver::LoadNextBaseContext() {
   base_cluster_hits_.clear();
   base_hit_posted_.clear();
 
-  if (config_.execution_mode == ExecutionMode::kMaterialized) {
-    if (materialized_served_) return Status::OK();
-    materialized_served_ = true;
-    const auto& pairs = state_->result.candidate_pairs;
-    if (state_->pair_hits.empty() && state_->cluster_hits.empty()) return Status::OK();
-    vote_table_.assign(pairs.size(), {});
-    base_unresolved_.reserve(pairs.size());
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      base_unresolved_.push_back({pairs[i], static_cast<uint64_t>(i)});
-    }
-    if (config_.hit_type == HitType::kClusterBased) {
-      base_cluster_hits_ = state_->cluster_hits;
-      base_hit_posted_.assign(base_cluster_hits_.size(), false);
-    }
-    base_active_ = true;
-    return Status::OK();
-  }
-
   if (config_.hit_type == HitType::kPairBased) {
-    const uint64_t total = state_->result.num_candidate_pairs;
-    if (next_pair_base_ >= total) return Status::OK();
-    const uint64_t want = std::min<uint64_t>(aligned_capacity_, total - next_pair_base_);
     std::vector<similarity::ScoredPair> drawn;
-    drawn.reserve(static_cast<size_t>(want));
-    CROWDER_ASSIGN_OR_RETURN(const size_t got, cursor_->Next(static_cast<size_t>(want), &drawn));
-    if (got == 0) return Status::OK();
+    CROWDER_ASSIGN_OR_RETURN(const uint64_t first, NextPairPartition(&drawn));
+    if (drawn.empty()) return Status::OK();
     base_unresolved_.reserve(drawn.size());
-    for (size_t i = 0; i < drawn.size(); ++i) {
-      base_unresolved_.push_back({drawn[i], next_pair_base_ + i});
-    }
-    next_pair_base_ += got;
+    for (size_t i = 0; i < drawn.size(); ++i) base_unresolved_.push_back({drawn[i], first + i});
     base_active_ = true;
     return Status::OK();
   }
 
-  const auto& hits = state_->cluster_hits;
-  if (next_range_begin_ >= hits.size()) return Status::OK();
-  WallTimer context_timer;
-  const size_t begin = next_range_begin_;
-  const size_t end = std::min(hits.size(), begin + hits_per_range_);
-  CROWDER_RETURN_NOT_OK(range_pairs_->Scan(
-      begin / hits_per_range_, [&](const std::vector<IndexedPair>& block) {
-        for (const auto& ip : block) base_unresolved_.push_back({ip.pair, ip.index});
-        return Status::OK();
-      }));
-  base_cluster_hits_.assign(hits.begin() + begin, hits.begin() + end);
+  CROWDER_ASSIGN_OR_RETURN(const bool drawn,
+                           NextClusterRange(&base_cluster_hits_, [&](const IndexedPair& ip) {
+                             base_unresolved_.push_back({ip.pair, ip.index});
+                           }));
+  if (!drawn) return Status::OK();
   base_hit_posted_.assign(base_cluster_hits_.size(), false);
-  next_range_begin_ = end;
   base_active_ = true;
-  state_->result.pipeline_stats.cluster_context_wall_ms += context_timer.ElapsedMillis();
   return Status::OK();
 }
 
@@ -383,11 +347,7 @@ Status WorkflowDriver::PostReaskRound() {
     pending_.cluster_hits = &round_cluster_hits_;
     return Status::OK();
   }
-  hitgen::PairHitPacker packer(config_.pairs_per_hit);
-  CROWDER_RETURN_NOT_OK(packer.Add(edges));
-  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
-  pending_.pair_hits = &round_pair_hits_;
-  return Status::OK();
+  return PackPairHits(edges);
 }
 
 Status WorkflowDriver::PostSelectionRound() {
@@ -407,13 +367,10 @@ Status WorkflowDriver::PostSelectionRound() {
       edges.push_back({q.pair.a, q.pair.b});
     }
     base_unresolved_.erase(base_unresolved_.begin(), base_unresolved_.begin() + take);
-    hitgen::PairHitPacker packer(config_.pairs_per_hit);
-    CROWDER_RETURN_NOT_OK(packer.Add(edges));
-    CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
+    CROWDER_RETURN_NOT_OK(PackPairHits(edges));
     IndexRoundPairs(round_pairs_);
     pending_.first_hit = next_hit_;
     pending_.pairs = &round_pairs_;
-    pending_.pair_hits = &round_pair_hits_;
     return Status::OK();
   }
 
@@ -514,8 +471,7 @@ Status WorkflowDriver::PrepareAdaptiveRound() {
     SweepClosure();
     if (base_unresolved_.empty()) {
       base_active_ = false;  // context fully resolved — retire it
-      if (config_.execution_mode == ExecutionMode::kStreaming &&
-          config_.hit_type == HitType::kClusterBased) {
+      if (config_.hit_type == HitType::kClusterBased) {
         ++state_->result.pipeline_stats.crowd_partitions;
       }
       continue;
@@ -588,8 +544,6 @@ Status WorkflowDriver::Advance() {
   if (state_->result.num_candidate_pairs > 0) {
     if (adaptive()) {
       CROWDER_RETURN_NOT_OK(PrepareAdaptiveRound());
-    } else if (config_.execution_mode == ExecutionMode::kMaterialized) {
-      CROWDER_RETURN_NOT_OK(PrepareMaterializedRound());
     } else if (config_.hit_type == HitType::kPairBased) {
       CROWDER_RETURN_NOT_OK(PreparePairPartitionRound());
     } else {
@@ -613,12 +567,9 @@ Status WorkflowDriver::Finalize() {
     std::sort(result.filtered_workers.begin(), result.filtered_workers.end());
     state_->banned_workers = banned_workers_;
   }
-  if (config_.execution_mode == ExecutionMode::kStreaming && state_->votes != nullptr) {
+  if (state_->votes != nullptr) {
     CROWDER_RETURN_NOT_OK(state_->votes->Finish());
     result.pipeline_stats.vote_spilled_bytes = state_->votes->spilled_bytes();
-  }
-  if (config_.execution_mode == ExecutionMode::kMaterialized) {
-    result.crowd_stats.votes = std::move(vote_table_);
   }
   if (adaptive()) {
     for (const auto& [global, ip] : inferred_) {
@@ -632,7 +583,7 @@ Status WorkflowDriver::Finalize() {
   }
   // Fallback crowd statistics from what flowed through SubmitVotes; a
   // backend's Finish result (SubmitCrowdStats) replaces them with the
-  // authoritative numbers, preserving the vote table.
+  // authoritative numbers, preserving the vote table AggregateStage keeps.
   crowd::CrowdRunResult& stats = result.crowd_stats;
   stats.num_hits = next_hit_;
   stats.num_assignments = static_cast<uint32_t>(stats.assignment_seconds.size());
@@ -724,21 +675,15 @@ Status WorkflowDriver::SubmitVotes(crowd::VoteBatch votes) {
   // aggregators — and the byte-identity contract — observe). A filing
   // failure (e.g. vote-shard spill I/O) leaves a prefix already appended,
   // so it must latch too — a retry would double-file that prefix.
-  const bool streaming = config_.execution_mode == ExecutionMode::kStreaming;
   size_t vote_cursor = 0;
   for (const crowd::HitVotes& hv : votes.hit_votes) {
     round_hits_filed_.insert(hv.hit);
     for (const crowd::PairVote& pv : hv.votes) {
       const size_t local = vote_locals[vote_cursor++];
-      const uint64_t global = round_global_index_[local];
-      if (streaming) {
-        const Status filed = state_->votes->Append(global, pv.vote);
-        if (!filed.ok()) {
-          failed_ = true;
-          return filed;
-        }
-      } else {
-        vote_table_[static_cast<size_t>(global)].push_back(pv.vote);
+      const Status filed = state_->votes->Append(round_global_index_[local], pv.vote);
+      if (!filed.ok()) {
+        failed_ = true;
+        return filed;
       }
       round_votes_.emplace_back(local, pv.vote);
     }
@@ -852,10 +797,7 @@ Result<bool> WorkflowDriver::PrepareRepairRound() {
     round_cluster_hits_ = std::move(repair);
     pending_.cluster_hits = &round_cluster_hits_;
   } else {
-    hitgen::PairHitPacker packer(config_.pairs_per_hit);
-    CROWDER_RETURN_NOT_OK(packer.Add(deficient));
-    CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
-    pending_.pair_hits = &round_pair_hits_;
+    CROWDER_RETURN_NOT_OK(PackPairHits(deficient));
   }
   round_hits_filed_.clear();
   votes_submitted_ = false;
@@ -886,8 +828,7 @@ Status WorkflowDriver::Step() {
     // and retract (driver.h's retraction contract).
     FoldAnsweredRound();
     MaybeRebuildClosure();
-  } else if (config_.execution_mode == ExecutionMode::kStreaming &&
-             config_.hit_type == HitType::kClusterBased) {
+  } else if (config_.hit_type == HitType::kClusterBased) {
     // Adaptive mode counts a crowd partition when a base context retires
     // (PrepareAdaptiveRound), not once per sub-round.
     ++state_->result.pipeline_stats.crowd_partitions;

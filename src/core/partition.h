@@ -1,10 +1,10 @@
 /// \file
 /// \brief The partitioned crowd boundary: bounded-memory stores and
-/// partition plans that let the streaming workflow run HIT generation, crowd
+/// partition plans that let the workflow run HIT generation, crowd
 /// simulation, vote storage, and aggregation one pair partition at a time —
-/// so the full pair list, the pair graph, and the vote table never have to
-/// be resident (ROADMAP's "disk-backed vote table / partitioned
-/// aggregation" unlock).
+/// so in kStreaming the full pair list, the pair graph, and the vote table
+/// never have to be resident. kMaterialized crosses the same boundary as
+/// one unbounded partition.
 ///
 /// Three building blocks, all budget-aware and spill-backed by the generic
 /// SpillLog (core/spill.h):
@@ -25,7 +25,7 @@
 ///    components and the two-tiered decomposition is component-local).
 ///
 /// The drivers that wire these into `HybridWorkflow::Run` live in
-/// core/stages.cc; the byte-identity argument for the whole boundary is
+/// core/stages.cc and core/driver.cc; the byte-identity argument for the whole boundary is
 /// spelled out in docs/ARCHITECTURE.md.
 #ifndef CROWDER_CORE_PARTITION_H_
 #define CROWDER_CORE_PARTITION_H_
@@ -56,8 +56,8 @@ uint64_t ResolvePartitionCapacity(uint64_t partition_pairs, uint64_t memory_budg
 /// (never below one HIT). Pair-based HITs close exactly every
 /// `pairs_per_hit` pairs of the global sorted sequence, so a partition
 /// boundary at any multiple of it is invisible to HIT packing — which is
-/// what makes partitioned pair-HIT generation byte-identical to the
-/// materialized pack.
+/// what makes partitioned pair-HIT generation byte-identical to packing
+/// the whole list at once.
 uint64_t AlignedPartitionCapacity(uint64_t capacity_pairs, uint32_t pairs_per_hit);
 
 /// \brief Tiles [0, total) into contiguous ranges of at most `capacity` and
@@ -265,8 +265,8 @@ class ShardedSpillStore {
 /// Per-pair vote order is preserved: appends arrive in global cast order
 /// (HIT order, then cast order within a HIT), each shard's log replays in
 /// append order, and `WithShard` groups stably by pair — so the per-pair
-/// vote sequences equal the materialized table's, which keeps Dawid-Skene
-/// bitwise-identical across execution modes.
+/// vote sequences equal a single-shard table's, which keeps Dawid-Skene
+/// bitwise-identical at any partitioning.
 ///
 /// A shard is lent as a flat view: its replayed records are grouped by a
 /// stable counting pass on the local pair index into one vote array plus

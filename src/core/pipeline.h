@@ -10,8 +10,8 @@
 //    per-stage wall times. WorkflowDriver (core/driver.h) composes
 //    MachinePassStage → HitGenStage in Start and AggregateStage at the end,
 //    with the crowd rounds in between (timed as the "crowd" stage), in both
-//    execution modes — the modes differ only in how candidate pairs flow
-//    between the first two phases.
+//    execution modes — every phase after the machine pass reads the pairs
+//    from the PairStream below.
 //
 //  * PairStream — the spillable candidate-pair stream between the machine
 //    pass and its consumers. The producer appends blocks (each internally
@@ -115,9 +115,8 @@ class PairStream {
   /// may be open (each holds its own read positions).
   Result<SortedCursor> OpenSortedCursor() const;
 
-  /// Materializes the full sorted pair list (the boundary where a streaming
-  /// run must rejoin the materialized representation, e.g. for the crowd's
-  /// vote table).
+  /// Materializes the full sorted pair list (how a kMaterialized run fed by
+  /// the sharded machine pass fills result.candidate_pairs).
   Result<std::vector<similarity::ScoredPair>> MaterializeSorted() const;
 
  private:
@@ -139,24 +138,25 @@ struct StageTiming {
 /// byte-identity contract between execution modes).
 struct PipelineStats {
   std::vector<StageTiming> stages;
-  /// Pairs that flowed through the candidate stream (streaming mode only).
+  /// Pairs that flowed through the bounded candidate stream (kStreaming
+  /// only).
   uint64_t streamed_pairs = 0;
   /// Bytes the candidate stream spilled to disk (0 when under budget).
   uint64_t spilled_bytes = 0;
-  /// Crowd-boundary partitions the streaming run was split into (pair
-  /// partitions for pair-based HITs, HIT ranges for cluster-based).
+  /// Crowd-boundary partitions the run was split into (pair partitions for
+  /// pair-based HITs, HIT ranges for cluster-based; 1 in kMaterialized).
   uint64_t crowd_partitions = 0;
   /// Bytes the partitioned vote table spilled to disk.
   uint64_t vote_spilled_bytes = 0;
   /// Bytes the component-bucket pair store spilled to disk (cluster-based
-  /// streaming only).
+  /// only; 0 in kMaterialized, which never spills).
   uint64_t boundary_spilled_bytes = 0;
   /// Wall time Start spent building the inverted pair→HIT-range index that
   /// routes each candidate pair to the cluster rounds referencing it
-  /// (cluster-based streaming only; one pass over the bucket stores).
+  /// (cluster-based only; one pass over the bucket stores).
   double cluster_index_wall_ms = 0.0;
   /// Cumulative wall time the cluster rounds spent assembling their pair
-  /// contexts (cluster-based streaming only). Together with
+  /// contexts (cluster-based only). Together with
   /// cluster_index_wall_ms this is the before/after axis of the pair→HIT
   /// join rework recorded in BENCH_machine.json.
   double cluster_context_wall_ms = 0.0;

@@ -1,7 +1,6 @@
 #include "core/resolution.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,6 +14,29 @@ size_t EntityClusters::num_duplicate_groups() const {
   size_t count = 0;
   for (const auto& cluster : clusters) count += cluster.size() > 1;
   return count;
+}
+
+EntityClusters CanonicalClusters(uint32_t num_records,
+                                 const std::function<uint32_t(uint32_t)>& root_of) {
+  constexpr uint32_t kUnseen = UINT32_MAX;
+  EntityClusters out;
+  out.cluster_of.assign(num_records, 0);
+  // Ascending record order visits each set's smallest member first, so
+  // first-seen roots get dense cluster ids in smallest-member order, and
+  // members are appended in ascending order.
+  std::vector<uint32_t> cluster_of_root(num_records, kUnseen);
+  for (uint32_t r = 0; r < num_records; ++r) {
+    const uint32_t root = root_of(r);
+    CROWDER_CHECK_LT(root, num_records);
+    uint32_t& id = cluster_of_root[root];
+    if (id == kUnseen) {
+      id = static_cast<uint32_t>(out.clusters.size());
+      out.clusters.emplace_back();
+    }
+    out.cluster_of[r] = id;
+    out.clusters[id].push_back(r);
+  }
+  return out;
 }
 
 Result<EntityClusters> ResolveEntities(uint32_t num_records,
@@ -92,25 +114,8 @@ Result<EntityClusters> ResolveEntities(uint32_t num_records,
     members[root] = std::move(merged);
   }
 
-  // Dense cluster ids ordered by smallest member.
-  EntityClusters out;
-  out.cluster_of.assign(num_records, 0);
-  std::map<uint32_t, std::vector<uint32_t>> by_min;
-  std::vector<char> in_group(num_records, 0);
-  for (auto& [root, recs] : members) {
-    std::sort(recs.begin(), recs.end());
-    for (uint32_t r : recs) in_group[r] = 1;
-    by_min[recs.front()] = recs;
-  }
-  for (uint32_t r = 0; r < num_records; ++r) {
-    if (!in_group[r]) by_min[r] = {r};
-  }
-  for (auto& [min_rec, recs] : by_min) {
-    const uint32_t id = static_cast<uint32_t>(out.clusters.size());
-    for (uint32_t r : recs) out.cluster_of[r] = id;
-    out.clusters.push_back(std::move(recs));
-  }
-  return out;
+  // Every accepted merge went through uf, so its sets are the clusters.
+  return CanonicalClusters(num_records, [&](uint32_t r) { return uf.Find(r); });
 }
 
 StreamingResolver::StreamingResolver(uint32_t num_records) : uf_(num_records) {}
@@ -130,23 +135,7 @@ Status StreamingResolver::AddMatch(uint32_t a, uint32_t b) {
 Result<EntityClusters> StreamingResolver::Finish() {
   CROWDER_CHECK(!finished_) << "Finish called twice";
   finished_ = true;
-  const uint32_t n = uf_.num_elements();
-  EntityClusters out;
-  out.cluster_of.assign(n, 0);
-  // Ascending record order visits each set's smallest member first, so
-  // first-seen roots assign dense cluster ids in exactly the
-  // smallest-member order ResolveEntities canonicalizes to.
-  std::unordered_map<uint32_t, uint32_t> cluster_of_root;
-  cluster_of_root.reserve(n);
-  for (uint32_t r = 0; r < n; ++r) {
-    const uint32_t root = uf_.Find(r);
-    auto [it, inserted] =
-        cluster_of_root.emplace(root, static_cast<uint32_t>(out.clusters.size()));
-    if (inserted) out.clusters.emplace_back();
-    out.cluster_of[r] = it->second;
-    out.clusters[it->second].push_back(r);  // ascending by construction
-  }
-  return out;
+  return CanonicalClusters(uf_.num_elements(), [&](uint32_t r) { return uf_.Find(r); });
 }
 
 ClusteringQuality EvaluateClusters(const EntityClusters& clusters,

@@ -9,6 +9,7 @@
 #define CROWDER_CORE_RESOLUTION_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -43,6 +44,15 @@ struct EntityClusters {
   size_t num_duplicate_groups() const;
 };
 
+/// \brief The canonical form of a partition of records [0, num_records):
+/// dense cluster ids ordered by smallest member, members ascending, one
+/// cluster per isolated record. `root_of(r)` names r's set — the same id,
+/// below num_records, for every member (a union-find root). The one
+/// canonicalization every resolver shares, so their partitions compare byte
+/// for byte.
+EntityClusters CanonicalClusters(uint32_t num_records,
+                                 const std::function<uint32_t(uint32_t)>& root_of);
+
 /// \brief Builds entity clusters from scored pairs over `num_records`
 /// records. Pairs are processed in decreasing score order.
 Result<EntityClusters> ResolveEntities(uint32_t num_records,
@@ -58,9 +68,8 @@ Result<EntityClusters> ResolveEntities(uint32_t num_records,
 /// Semantics are pure transitive closure — batch order cannot matter,
 /// because the cross-support heuristic of ResolveEntities needs the full
 /// confirmed edge list, which is exactly what a bounded run cannot hold.
-/// Finish() canonicalizes exactly like ResolveEntities (dense cluster ids
-/// ordered by smallest member, members ascending, one cluster per isolated
-/// record), so for any input the result equals
+/// Finish() canonicalizes exactly like ResolveEntities (CanonicalClusters),
+/// so for any input the result equals
 /// `ResolveEntities(n, pairs, {.transitive_closure = true})` over the
 /// pairs at or above the caller's threshold — a property the resolution
 /// tests pin.

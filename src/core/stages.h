@@ -1,30 +1,34 @@
 // The pipeline stages HybridWorkflow composes (CrowdER §2.2's phases):
 //
-//   MachinePassStage  records → candidate pairs (materialized vector, or
-//                     bounded blocks through WorkflowState::stream)
-//   HitGenStage       candidate pairs → HITs (incremental PairGraphBuilder /
-//                     PairHitPacker fed by pair batches; in partitioned
-//                     streaming cluster mode: component buckets + per-bucket
-//                     two-tiered decomposition over local-id subgraphs + one
-//                     global pack — see internal::BuildClusterBoundary)
-//   AggregateStage    votes → ranked matches + PR curve (sharded
-//                     aggregation in streaming mode)
+//   MachinePassStage  records → candidate pairs in WorkflowState::stream
+//                     (kMaterialized also keeps the sorted list in
+//                     result.candidate_pairs)
+//   HitGenStage       candidate pairs → cluster HITs plus the component-
+//                     bucket pair store the crowd rounds read their contexts
+//                     from (two-tiered: per-bucket decomposition over
+//                     local-id subgraphs + one global pack — see
+//                     internal::BuildClusterBoundary; the other generators:
+//                     the full pair graph and a one-bucket store). Pair HITs
+//                     are packed by the driver, one partition at a time.
+//   AggregateStage    votes → ranked matches + PR curve, shard by shard over
+//                     the vote store and the sorted stream
 //
-// The crowd phase is no longer a Stage: since the backend redesign it is a
-// sequence of *rounds* surfaced by core::WorkflowDriver (driver.h) — the
-// driver prepares one HIT batch at a time, any crowd::CrowdBackend answers
-// it, and the driver files the votes (into the materialized vote table or
-// the spill-backed VoteShardStore). HybridWorkflow::Run is a thin loop over
-// driver + backend; its PipelineStats still reports a "crowd" stage timing
-// spanning the rounds.
+// The crowd phase is not a Stage: it is a sequence of *rounds* surfaced by
+// core::WorkflowDriver (driver.h) — the driver prepares one HIT batch at a
+// time, any crowd::CrowdBackend answers it, and the driver files the votes
+// into the spill-backed VoteShardStore. HybridWorkflow::Run is a thin loop
+// over driver + backend; its PipelineStats still reports a "crowd" stage
+// timing spanning the rounds.
 //
-// Stages communicate through WorkflowState, never through globals. The two
-// execution modes share every stage; streaming mode differs in transport —
-// candidate pairs live in a spillable stream and cross the crowd boundary
-// partition by partition (core/partition.h) instead of as one materialized
-// list — which is why the modes are byte-identical (see the merge lemma in
-// core/pipeline.h and the partition-invisibility argument in
-// docs/ARCHITECTURE.md).
+// Stages communicate through WorkflowState, never through globals. Both
+// execution modes run every stage and cross the same partitioned crowd
+// boundary (core/partition.h); kMaterialized is its single-partition,
+// unbounded-budget case (EffectiveWorkflowConfig), which is why the modes
+// are byte-identical (see the merge lemma in core/pipeline.h and the
+// partition-invisibility argument in docs/ARCHITECTURE.md). The mode still
+// picks the machine pass (every CandidateStrategy vs the blocked join) and
+// the cluster generator, and whether the result keeps the pair list and the
+// vote table.
 #ifndef CROWDER_CORE_STAGES_H_
 #define CROWDER_CORE_STAGES_H_
 
@@ -48,29 +52,28 @@ struct WorkflowState {
   WorkflowState(const WorkflowConfig& config_in, const data::Dataset& dataset_in)
       : config(&config_in), dataset(&dataset_in), stream(config_in.memory_budget_bytes) {}
 
+  /// The effective configuration (EffectiveWorkflowConfig): in
+  /// kMaterialized the budget, partition and block settings read 0.
   const WorkflowConfig* config;
   const data::Dataset* dataset;
 
-  /// Candidate-pair transport in kStreaming mode (unused in kMaterialized).
-  /// Stays alive through the whole streaming run: the crowd boundary and
-  /// the final ranked pass re-scan it instead of materializing the pairs.
+  /// The sorted candidate pairs, in both execution modes. Stays alive
+  /// through the whole run: the crowd boundary and the final ranked pass
+  /// re-scan it.
   PairStream stream;
 
-  /// HITs handed from HitGenStage to the crowd rounds (one of the two, by
-  /// config->hit_type). In streaming mode, pair-based HITs are packed
-  /// partition-by-partition by the driver instead (pair_hits stays empty);
-  /// cluster HITs are bounded by the two-tiered decomposition, not by |P|,
-  /// and are kept whole in both modes.
-  std::vector<hitgen::PairBasedHit> pair_hits;
+  /// Cluster HITs handed from HitGenStage to the crowd rounds (cluster-based
+  /// only; pair-based HITs are packed partition by partition by the driver).
+  /// Bounded by the decomposition, not by |P|, and kept whole.
   std::vector<hitgen::ClusterBasedHit> cluster_hits;
 
-  // ---- Partitioned crowd boundary (kStreaming only; core/partition.h). ----
+  // ---- Partitioned crowd boundary (core/partition.h). ----
 
   /// Pairs per crowd partition, resolved from the config by HitGenStage.
   uint64_t partition_capacity = 0;
-  /// Component-aligned buckets (cluster-based HITs only).
-  std::unique_ptr<ComponentBucketPlan> buckets;
-  /// Per-bucket pair storage, global-index tagged (cluster-based only).
+  /// Per-bucket pair storage, global-index tagged (cluster-based only): one
+  /// bucket per group of whole components (two-tiered), or one bucket of
+  /// every pair in global order (the full-graph generators).
   std::unique_ptr<ShardedSpillStore<IndexedPair>> bucket_pairs;
   /// The disk-backed vote table, filled by the driver's crowd rounds,
   /// drained by AggregateStage.
@@ -78,8 +81,8 @@ struct WorkflowState {
 
   /// Workers banned by the driver's admission filter (crowd/worker_filter.h),
   /// copied in at Finalize. AggregateStage excludes their votes when it
-  /// derives decisions — in both execution modes — while the unfiltered
-  /// tables above (and result.crowd_stats.votes) keep the audit truth.
+  /// derives decisions, while the unfiltered store above (and
+  /// result.crowd_stats.votes) keeps the audit truth.
   std::unordered_set<uint32_t> banned_workers;
 
   /// Verdicts the driver's answer closure inferred instead of crowdsourcing
@@ -88,7 +91,7 @@ struct WorkflowState {
   /// in lockstep with the sorted stream. AggregateStage overrides these
   /// pairs' match probabilities with 1.0 / 0.0 (they have no votes; without
   /// the override they would rank as never-judged). Empty under
-  /// kFixedOrder, leaving both aggregate paths bitwise untouched.
+  /// kFixedOrder, leaving the aggregate bitwise untouched.
   std::map<uint64_t, bool> inferred_verdicts;
 
   /// The result under construction (candidate_pairs, machine_recall,
@@ -96,36 +99,37 @@ struct WorkflowState {
   WorkflowResult result;
 };
 
-/// \brief Machine pass + prune. Materialized mode fills
-/// result.candidate_pairs directly; streaming mode drives
-/// BlockedAllPairsJoinStream into state->stream, where the pairs stay —
+/// \brief Machine pass + prune into state->stream, where the pairs stay —
 /// every downstream consumer re-scans the (possibly spilled) stream in
-/// sorted order. Also computes machine recall.
+/// sorted order. kMaterialized runs HybridWorkflow::MachinePass (any
+/// CandidateStrategy) and also keeps the sorted list in
+/// result.candidate_pairs; kStreaming drives BlockedAllPairsJoinStream; the
+/// sharded pass (num_shards >= 2) serves both. Also computes machine recall.
 class MachinePassStage : public Stage {
  public:
   const char* name() const override { return "machine-pass"; }
   Status Run(WorkflowState* state) override;
 };
 
-/// \brief HIT generation. Materialized mode feeds the pair list to the
-/// incremental builders in one batch. Streaming pair-based mode defers to
-/// the driver's rounds (HITs are packed per partition as the partitions are
-/// drawn from the stream). Streaming cluster-based mode runs
-/// internal::BuildClusterBoundary — the identical HIT list the materialized
-/// generator produces, without ever holding the whole pair graph.
+/// \brief HIT generation. Pair-based HITs defer to the driver's rounds
+/// (packed per partition as the partitions are drawn from the stream).
+/// Two-tiered cluster HITs run internal::BuildClusterBoundary — the HIT list
+/// TwoTieredGenerator produces, without ever holding the whole pair graph.
+/// The other cluster generators (kMaterialized only) decompose the full pair
+/// graph and leave a one-bucket store of every pair in global order.
 class HitGenStage : public Stage {
  public:
   const char* name() const override { return "hit-gen"; }
   Status Run(WorkflowState* state) override;
 };
 
-/// \brief Vote aggregation into the ranked match list and PR curve.
-/// Materialized mode reads result.crowd_stats.votes (assembled by the
-/// driver); streaming mode aggregates shard by shard
-/// (aggregate/partitioned.h) while re-scanning the candidate stream for the
-/// pair identities — majority vote bitwise-identical by pair independence,
-/// Dawid-Skene bitwise-identical because shards tile the global pair order,
-/// so every floating-point accumulation happens in the materialized order.
+/// \brief Vote aggregation into the ranked match list and PR curve, shard
+/// by shard over the vote store (aggregate/partitioned.h) while re-scanning
+/// the candidate stream for the pair identities — majority vote
+/// partition-blind by pair independence, Dawid-Skene because shards tile
+/// the global pair order, so every floating-point accumulation happens in
+/// one order at any partitioning. kMaterialized results also get the
+/// unfiltered vote table in result.crowd_stats.votes.
 class AggregateStage : public Stage {
  public:
   const char* name() const override { return "aggregate"; }
@@ -135,8 +139,8 @@ class AggregateStage : public Stage {
 namespace internal {
 
 /// \brief Tokenizes every record into the join input (and, for sorted
-/// neighborhood, the normalized sort keys). Shared by the materialized and
-/// streaming machine passes so both see identical token sets.
+/// neighborhood, the normalized sort keys). Shared by every machine pass so
+/// all see identical token sets.
 similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStrategy strategy,
                                      std::vector<std::string>* keys);
 
@@ -146,23 +150,23 @@ similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStra
 uint64_t CountCandidateMatches(const data::Dataset& dataset,
                                const std::vector<similarity::ScoredPair>& pairs);
 
-/// \brief What the streaming cluster-based crowd boundary precomputes.
+/// \brief What the two-tiered cluster-based crowd boundary precomputes.
 struct ClusterBoundary {
   /// Component-aligned bucket plan (which bucket holds each record).
   ComponentBucketPlan plan;
   /// Per-bucket pairs, tagged with their global sorted index.
   std::unique_ptr<ShardedSpillStore<IndexedPair>> bucket_pairs;
-  /// The full cluster-HIT list — identical to the materialized two-tiered
-  /// generator's output.
+  /// The full cluster-HIT list — identical to TwoTieredGenerator's output
+  /// over the whole pair graph.
   std::vector<hitgen::ClusterBasedHit> hits;
   /// Bytes the bucket store spilled while routing pairs.
   uint64_t spilled_bytes = 0;
 };
 
-/// \brief Streaming cluster-based boundary: component buckets, per-bucket
-/// two-tiered decomposition, one global pack. Produces the HIT list the
-/// materialized TwoTieredGenerator produces — same HITs, same order —
-/// because
+/// \brief Two-tiered cluster-based boundary: component buckets, per-bucket
+/// two-tiered decomposition, one global pack. Produces the HIT list
+/// TwoTieredGenerator produces over the whole pair graph — same HITs, same
+/// order — because
 ///  (1) buckets hold whole components, in the ConnectedComponents order
 ///      (ascending smallest member), so concatenating the per-bucket
 ///      decompositions reproduces the global component order;

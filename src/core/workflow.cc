@@ -145,6 +145,15 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
   return stats;
 }
 
+WorkflowConfig EffectiveWorkflowConfig(WorkflowConfig config) {
+  if (config.execution_mode == ExecutionMode::kMaterialized) {
+    config.memory_budget_bytes = 0;
+    config.crowd_partition_pairs = 0;
+    config.stream_block_records = 0;
+  }
+  return config;
+}
+
 Status ValidateWorkflowConfig(const WorkflowConfig& config) {
   if (config.likelihood_threshold < 0.0 || config.likelihood_threshold > 1.0) {
     return Status::InvalidArgument("likelihood_threshold must be in [0,1]");

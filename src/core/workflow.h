@@ -10,10 +10,11 @@
 // surfaces crowd work one HIT batch at a time) and a crowd::CrowdBackend
 // (who answers it — by default the deterministic simulator; pass your own
 // backend to replay a recorded run or attach a real crowd).
-// WorkflowConfig::execution_mode picks whether candidate pairs are
-// materialized between the machine pass and HIT generation or flow through
-// a bounded, disk-spilling stream. The two modes are byte-identical — the
-// golden workflow test pins it.
+// Both execution modes run one pipeline over a sorted candidate stream and
+// a partitioned crowd boundary; WorkflowConfig::execution_mode picks whether
+// that boundary is one unbounded partition (kMaterialized, which also keeps
+// the pair list and vote table) or bounded and disk-spilling (kStreaming).
+// The two modes are byte-identical — the golden workflow test pins it.
 #ifndef CROWDER_CORE_WORKFLOW_H_
 #define CROWDER_CORE_WORKFLOW_H_
 
@@ -73,25 +74,32 @@ enum class CandidateStrategy {
   kSortedNeighborhoodVerify,
 };
 
-/// \brief How candidate pairs flow from the machine pass to HIT generation.
+/// \brief How the run trades resident memory for reach. Both modes cross
+/// the same partitioned crowd boundary (core/partition.h): HIT generation,
+/// crowd rounds, vote storage and aggregation run over a sorted candidate
+/// PairStream, one pair partition at a time. The mode picks only which
+/// machine pass and cluster generator run, whether the boundary is bounded,
+/// and whether the result keeps the pair list and the vote table.
 enum class ExecutionMode {
-  /// Every intermediate is materialized before the next stage starts (the
-  /// original shape; no disk I/O, peak memory O(|P|)).
+  /// The boundary's single-partition case: unbounded budget, one crowd
+  /// partition, no spilling (the kStreaming-only settings are ignored; see
+  /// EffectiveWorkflowConfig). Runs every CandidateStrategy and every
+  /// cluster algorithm, and keeps `result.candidate_pairs` and
+  /// `result.crowd_stats.votes`. Peak memory O(|P|).
   kMaterialized,
-  /// The machine pass emits bounded blocks through a spillable PairStream
-  /// (core/pipeline.h); under `memory_budget_bytes` the stream's resident
-  /// pair memory is capped, with overflow spilled to a temp file. The crowd
-  /// boundary is *partitioned* (core/partition.h): HIT generation, crowd
-  /// simulation, vote storage, and aggregation run one bounded pair
-  /// partition at a time, so the full workflow never materializes the pair
-  /// list, the pair graph, or the vote table — `result.candidate_pairs`
-  /// stays empty (see `num_candidate_pairs`) and the only pair-proportional
-  /// output is the final ranked list. Requires
-  /// CandidateStrategy::kAllPairsJoin (the other strategies have no
-  /// streaming driver); cluster-based HITs additionally require the
-  /// two-tiered generator (the only cluster algorithm whose decomposition
-  /// is component-local and therefore partitionable). Output is
-  /// byte-identical to kMaterialized at any thread count, block size,
+  /// The bounded case. The machine pass emits blocks through the PairStream;
+  /// under `memory_budget_bytes` each bounded structure (the stream, the
+  /// component buckets, the vote shards) caps its resident bytes and spills
+  /// the overflow to temp files, and the crowd boundary is cut into
+  /// partitions of `crowd_partition_pairs`. The full workflow never
+  /// materializes the pair list, the pair graph, or the vote table —
+  /// `result.candidate_pairs` and `result.crowd_stats.votes` stay empty (see
+  /// `num_candidate_pairs`) and the only pair-proportional output is the
+  /// final ranked list. Requires CandidateStrategy::kAllPairsJoin (the other
+  /// strategies have no streaming driver); cluster-based HITs additionally
+  /// require the two-tiered generator (the only cluster algorithm whose
+  /// decomposition is component-local and therefore partitionable). Output
+  /// is byte-identical to kMaterialized at any thread count, block size,
   /// budget, and partition capacity.
   kStreaming,
 };
@@ -116,15 +124,17 @@ struct WorkflowConfig {
 
   // ---- Execution. ----
   ExecutionMode execution_mode = ExecutionMode::kMaterialized;
-  /// kStreaming only: resident bytes the candidate PairStream may hold
-  /// before spilling blocks to disk (0 = unbounded, never spills).
+  /// kStreaming only (kMaterialized ignores it): resident bytes each
+  /// bounded structure may hold before spilling blocks to disk (0 =
+  /// unbounded, never spills).
   uint64_t memory_budget_bytes = 0;
-  /// kStreaming only: probe records per emitted block — the granularity of
-  /// streaming (and of spilling). 0 = the join's default. Any value yields
-  /// identical output.
+  /// kStreaming only (kMaterialized ignores it): probe records per emitted
+  /// block — the granularity of streaming (and of spilling). 0 = the join's
+  /// default. Any value yields identical output.
   uint32_t stream_block_records = 0;
-  /// kStreaming only: pairs per crowd-boundary partition (0 = derived from
-  /// memory_budget_bytes, or a single partition when that is 0 too). For
+  /// kStreaming only (kMaterialized ignores it): pairs per crowd-boundary
+  /// partition (0 = derived from memory_budget_bytes, or a single partition
+  /// when that is 0 too). For
   /// pair-based HITs the capacity is rounded down to a multiple of
   /// pairs_per_hit; for cluster-based HITs partitions hold whole connected
   /// components, so one oversized component can exceed the capacity. Any
@@ -200,6 +210,14 @@ struct WorkflowConfig {
   uint64_t seed = 42;
 };
 
+/// \brief The configuration a run executes: for kMaterialized the
+/// kStreaming-only settings resolve to "unbounded budget, one partition,
+/// default block size" (memory_budget_bytes = crowd_partition_pairs =
+/// stream_block_records = 0); a kStreaming config is returned unchanged.
+/// WorkflowDriver runs on this, so no kMaterialized run spills or splits
+/// its crowd rounds into partitions.
+WorkflowConfig EffectiveWorkflowConfig(WorkflowConfig config);
+
 /// \brief Validates a configuration: threshold in [0,1], cluster size >= 2,
 /// pairs per HIT >= 1, sane crowd-model fractions, pool large enough for the
 /// replication factor, and kStreaming only with kAllPairsJoin. Run() calls
@@ -231,8 +249,8 @@ struct CrowdRoundStats {
 
 struct WorkflowResult {
   /// Pairs surviving the machine pass (the set P sent to the crowd).
-  /// Materialized mode only — the partitioned streaming mode never holds P,
-  /// so this stays empty there; use num_candidate_pairs for the count.
+  /// kMaterialized only — kStreaming never holds P, so this stays empty
+  /// there; use num_candidate_pairs for the count.
   std::vector<similarity::ScoredPair> candidate_pairs;
   /// |P| in both execution modes.
   uint64_t num_candidate_pairs = 0;

@@ -1,6 +1,5 @@
 #include "serve/online_resolver.h"
 
-#include <unordered_map>
 #include <utility>
 
 namespace crowder {
@@ -33,23 +32,7 @@ Status OnlineResolver::AddMatch(uint32_t a, uint32_t b) {
 }
 
 core::EntityClusters OnlineResolver::CurrentClusters() const {
-  const uint32_t n = num_records();
-  core::EntityClusters out;
-  out.cluster_of.assign(n, 0);
-  // Ascending record order visits each set's smallest member first, so
-  // first-seen roots assign dense cluster ids in exactly the smallest-member
-  // order StreamingResolver::Finish canonicalizes to.
-  std::unordered_map<uint32_t, uint32_t> cluster_of_root;
-  cluster_of_root.reserve(n);
-  for (uint32_t r = 0; r < n; ++r) {
-    const uint32_t root = Find(r);
-    auto [it, inserted] =
-        cluster_of_root.emplace(root, static_cast<uint32_t>(out.clusters.size()));
-    if (inserted) out.clusters.emplace_back();
-    out.cluster_of[r] = it->second;
-    out.clusters[it->second].push_back(r);
-  }
-  return out;
+  return core::CanonicalClusters(num_records(), [this](uint32_t r) { return Find(r); });
 }
 
 }  // namespace serve

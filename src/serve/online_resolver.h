@@ -1,8 +1,9 @@
 // The growing counterpart of core::StreamingResolver: a union-find whose
 // record universe expands as records are ingested and whose canonical
 // partition can be read at any time (not just terminally). The
-// canonicalization is byte-for-byte StreamingResolver::Finish's — dense
-// cluster ids in smallest-member order, members ascending — so a partition
+// canonicalization is core::CanonicalClusters, the one StreamingResolver::
+// Finish uses — dense cluster ids in smallest-member order, members
+// ascending — so a partition
 // taken after the last verdict equals the batch resolver's output exactly
 // (the identity serve_test pins).
 #ifndef CROWDER_SERVE_ONLINE_RESOLVER_H_

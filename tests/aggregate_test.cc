@@ -198,11 +198,12 @@ std::vector<size_t> RandomShardSizes(Rng* rng, size_t total) {
   return sizes;
 }
 
-// The satellite property, strengthened: sharded majority vote is bitwise
-// the materialized result, and the sharded Dawid-Skene *fit* is bitwise the
-// materialized fit (not merely within EM tolerance) — the shards tile the
-// pair order, so every floating-point accumulation happens in the same
-// order.
+// The satellite property, strengthened: majority vote read through shard
+// views (MajorityMatchProbability per lent pair, as the workflow's ranked
+// walk reads it) is bitwise the materialized MajorityVote, and the sharded
+// Dawid-Skene *fit* is bitwise the materialized fit (not merely within EM
+// tolerance) — the shards tile the pair order, so every floating-point
+// accumulation happens in the same order.
 TEST(PartitionedAggregationTest, ShardedEqualsMaterializedAtAnyPartitioning) {
   Rng rng(20260731);
   for (int trial = 0; trial < 40; ++trial) {
@@ -215,23 +216,20 @@ TEST(PartitionedAggregationTest, ShardedEqualsMaterializedAtAnyPartitioning) {
       const std::vector<size_t> sizes = RandomShardSizes(&rng, num_pairs);
       InMemoryVoteShards shards(&votes, sizes);
 
-      // Majority vote: bitwise per shard.
-      size_t offset_holder = 0;
-      std::vector<size_t> starts;
-      for (size_t s : sizes) {
-        starts.push_back(offset_holder);
-        offset_holder += s;
+      // Majority vote: bitwise per lent pair.
+      size_t start = 0;
+      for (size_t shard = 0; shard < shards.num_shards(); ++shard) {
+        const Status mv_status = shards.WithShard(shard, [&](const VoteShardView& view) {
+          for (size_t i = 0; i < view.size(); ++i) {
+            EXPECT_EQ(MajorityMatchProbability(view[i]), mv[start + i])
+                << "trial " << trial << " shard " << shard << " pair " << i;
+          }
+          start += view.size();
+          return Status::OK();
+        });
+        ASSERT_TRUE(mv_status.ok());
       }
-      const std::function<Status(size_t, const std::vector<double>&)> check_shard =
-          [&](size_t shard, const std::vector<double>& probabilities) {
-            for (size_t i = 0; i < probabilities.size(); ++i) {
-              EXPECT_EQ(probabilities[i], mv[starts[shard] + i])
-                  << "trial " << trial << " shard " << shard << " pair " << i;
-            }
-            return Status::OK();
-          };
-      const Status mv_status = MajorityVoteSharded(&shards, check_shard);
-      ASSERT_TRUE(mv_status.ok());
+      EXPECT_EQ(start, num_pairs);
 
       // Dawid-Skene: the fitted model and every posterior, bitwise.
       InMemoryVoteShards refit_shards(&votes, sizes);

@@ -17,6 +17,8 @@
 //    and cost are unchanged.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iomanip>
 #include <string>
 #include <utility>
 
@@ -496,6 +498,166 @@ TEST(GoldenWorkflowTest, AdaptiveStreamingHostilePairGoldenIsStable) {
       {310, 311, 0.99999958025964697},
   };
   ExpectRankedHead(*result, head, std::size(head));
+}
+
+// 64-bit FNV-1a over the raw bytes of the values fed to it.
+class Fnv64 {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char byte : bytes) {
+      hash_ ^= byte;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+uint64_t RankedDigest(const WorkflowResult& result) {
+  Fnv64 fnv;
+  for (const auto& p : result.ranked) {
+    fnv.Add(p.a);
+    fnv.Add(p.b);
+    fnv.Add(p.score);
+  }
+  return fnv.value();
+}
+
+uint64_t VotesDigest(const WorkflowResult& result) {
+  Fnv64 fnv;
+  for (const auto& pair_votes : result.crowd_stats.votes) {
+    fnv.Add(static_cast<uint64_t>(pair_votes.size()));
+    for (const auto& v : pair_votes) {
+      fnv.Add(v.worker_id);
+      fnv.Add(static_cast<uint8_t>(v.says_match));
+    }
+  }
+  return fnv.value();
+}
+
+// The configurations only kMaterialized can run (other cluster generators,
+// other candidate strategies), plus pair HITs under majority vote and one
+// defended adaptive run. Recorded from the materialized crowd path that
+// predates the single partitioned crowd boundary; they must never be
+// re-recorded to follow a refactor of that boundary.
+struct MaterializedPin {
+  const char* name;
+  WorkflowConfig (*config)();
+  uint32_t num_hits;
+  uint32_t num_assignments;
+  double cost_dollars;
+  size_t crowd_rounds;
+  uint64_t ranked_digest;
+  uint64_t votes_digest;
+};
+
+WorkflowConfig WithAlgorithm(hitgen::ClusterAlgorithm algorithm) {
+  WorkflowConfig config = GoldenConfig();
+  config.cluster_algorithm = algorithm;
+  return config;
+}
+
+WorkflowConfig WithStrategy(CandidateStrategy strategy) {
+  WorkflowConfig config = GoldenConfig();
+  config.candidate_strategy = strategy;
+  return config;
+}
+
+WorkflowConfig PairMajorityConfig() {
+  WorkflowConfig config = GoldenConfig();
+  config.hit_type = HitType::kPairBased;
+  config.pairs_per_hit = 7;
+  config.aggregation = AggregationMethod::kMajorityVote;
+  return config;
+}
+
+WorkflowConfig FilteredAdaptiveConfig() {
+  WorkflowConfig config = GoldenConfig();
+  config.question_policy = QuestionPolicyKind::kInferenceOrdered;
+  config.crowd.reliable_fraction = 0.46;
+  config.crowd.noisy_fraction = 0.18;
+  config.crowd.colluder_fraction = 0.13;
+  config.crowd.sleeper_fraction = 0.08;
+  config.filter_workers = true;
+  return config;
+}
+
+const MaterializedPin kMaterializedPins[] = {
+    {"random", [] { return WithAlgorithm(hitgen::ClusterAlgorithm::kRandom); }, 96, 288,
+     7.2000000000000002, 1, 0xcb8ee98f5932e154ULL, 0x7c3ee63233019b2bULL},
+    {"bfs", [] { return WithAlgorithm(hitgen::ClusterAlgorithm::kBfs); }, 53, 159,
+     3.9750000000000001, 1, 0xe6e9efc336902e54ULL, 0x4b6f799e9ac49908ULL},
+    {"dfs", [] { return WithAlgorithm(hitgen::ClusterAlgorithm::kDfs); }, 56, 168,
+     4.2000000000000002, 1, 0xca92f163cdd8471aULL, 0x223b42386ff65ca5ULL},
+    {"approximation", [] { return WithAlgorithm(hitgen::ClusterAlgorithm::kApproximation); },
+     89, 267, 6.6750000000000007, 1, 0xffd461a13f1a818eULL, 0xf027f3854fc70e86ULL},
+    {"blocking-verify", [] { return WithStrategy(CandidateStrategy::kBlockingVerify); }, 46,
+     138, 3.4500000000000002, 1, 0xdea610ce43ba6623ULL, 0xffbcc343b4a112eaULL},
+    {"sorted-neighborhood-verify",
+     [] { return WithStrategy(CandidateStrategy::kSortedNeighborhoodVerify); }, 29, 87,
+     2.1750000000000003, 1, 0x23eb1366dd5033c0ULL, 0x641c5de3525cc678ULL},
+    {"pair-majority", PairMajorityConfig, 34, 102, 2.5500000000000003, 1,
+     0xd5a1cbaea2a4ac0fULL, 0x25382610418cb346ULL},
+    {"filtered-adaptive", FilteredAdaptiveConfig, 238, 714, 17.850000000000001, 29,
+     0x90337cd07a4e2e42ULL, 0x874a54fada9a5c64ULL},
+};
+
+TEST(GoldenWorkflowTest, MaterializedOnlyConfigurationsArePinned) {
+  const data::Dataset dataset = SmallRestaurant();
+  for (const MaterializedPin& pin : kMaterializedPins) {
+    auto result = HybridWorkflow(pin.config()).Run(dataset);
+    ASSERT_TRUE(result.ok()) << pin.name << ": " << result.status().ToString();
+    EXPECT_EQ(result->crowd_stats.num_hits, pin.num_hits) << pin.name;
+    EXPECT_EQ(result->crowd_stats.num_assignments, pin.num_assignments) << pin.name;
+    EXPECT_EQ(result->crowd_stats.cost_dollars, pin.cost_dollars)
+        << pin.name << std::setprecision(17) << " cost " << result->crowd_stats.cost_dollars;
+    EXPECT_EQ(result->crowd_rounds.size(), pin.crowd_rounds) << pin.name;
+    EXPECT_EQ(RankedDigest(*result), pin.ranked_digest)
+        << pin.name << std::hex << " ranked 0x" << RankedDigest(*result);
+    EXPECT_EQ(VotesDigest(*result), pin.votes_digest)
+        << pin.name << std::hex << " votes 0x" << VotesDigest(*result);
+    EXPECT_EQ(result->crowd_stats.votes.size(), result->num_candidate_pairs) << pin.name;
+    EXPECT_EQ(result->candidate_pairs.size(), result->num_candidate_pairs) << pin.name;
+  }
+}
+
+TEST(GoldenWorkflowTest, MaterializedIgnoresStreamingOnlySettings) {
+  // memory_budget_bytes, crowd_partition_pairs and stream_block_records are
+  // kStreaming-only: a kMaterialized run resolves them to "unbounded, one
+  // partition, default", so setting them changes no byte and spills nothing.
+  const data::Dataset dataset = SmallRestaurant();
+  auto baseline = HybridWorkflow(GoldenConfig()).Run(dataset);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  WorkflowConfig config = GoldenConfig();
+  config.memory_budget_bytes = 1024;
+  config.crowd_partition_pairs = 16;
+  config.stream_block_records = 8;
+  auto result = HybridWorkflow(config).Run(dataset);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(result->pipeline_stats.spilled_bytes, 0u);
+  EXPECT_EQ(result->pipeline_stats.vote_spilled_bytes, 0u);
+  EXPECT_EQ(result->pipeline_stats.boundary_spilled_bytes, 0u);
+  EXPECT_EQ(result->crowd_rounds.size(), 1u);
+
+  ASSERT_EQ(result->candidate_pairs.size(), baseline->candidate_pairs.size());
+  for (size_t i = 0; i < baseline->candidate_pairs.size(); ++i) {
+    EXPECT_EQ(result->candidate_pairs[i].a, baseline->candidate_pairs[i].a);
+    EXPECT_EQ(result->candidate_pairs[i].b, baseline->candidate_pairs[i].b);
+    EXPECT_EQ(result->candidate_pairs[i].score, baseline->candidate_pairs[i].score);
+  }
+  EXPECT_EQ(RankedDigest(*result), RankedDigest(*baseline));
+  EXPECT_EQ(VotesDigest(*result), VotesDigest(*baseline));
+  EXPECT_EQ(result->crowd_stats.num_hits, baseline->crowd_stats.num_hits);
+  EXPECT_EQ(result->crowd_stats.num_assignments, baseline->crowd_stats.num_assignments);
+  EXPECT_EQ(result->crowd_stats.cost_dollars, baseline->crowd_stats.cost_dollars);
+  EXPECT_EQ(result->crowd_stats.total_seconds, baseline->crowd_stats.total_seconds);
 }
 
 TEST(GoldenWorkflowTest, RerunIsBitwiseIdentical) {

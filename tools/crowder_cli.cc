@@ -39,8 +39,10 @@
 //       (suffixes K/M/G, upper- or lowercase, e.g. 256M or 256m) before it
 //       spills to disk;
 //       --partition-pairs pins the crowd partition capacity (0/absent =
-//       derived from the budget). The workflow outputs — candidate pairs,
-//       HITs, votes, ranked matches, F1 — are byte-identical to the
+//       derived from the budget). Both apply only with --streaming: the
+//       default run is the crowd boundary's single unbounded partition,
+//       and ignores them with a warning. The workflow outputs — candidate
+//       pairs, HITs, votes, ranked matches, F1 — are byte-identical to the
 //       materialized run at any setting; only the clustering rule differs,
 //       by design. --crowd picks who answers the HITs: `sim` (default) is
 //       the deterministic simulator; `record:FILE` simulates AND exports
