@@ -35,16 +35,16 @@ struct ShardedRun {
 
 Result<ShardedRun> RunSharded(const data::Dataset& dataset, double threshold,
                               uint32_t num_shards, const std::string& shardd) {
-  shard::ShardExecOptions exec;
-  exec.num_shards = num_shards;
-  exec.worker_path = shardd;
+  core::WorkflowConfig config;
+  config.measure = similarity::SetMeasure::kJaccard;
+  config.likelihood_threshold = threshold;
+  config.num_shards = num_shards;
+  config.shard_worker_path = shardd;
   ShardedRun run;
   core::PairStream stream;
   WallTimer timer;
-  CROWDER_RETURN_NOT_OK(core::HybridWorkflow::MachinePassSharded(
-                            dataset, similarity::SetMeasure::kJaccard, threshold, exec,
-                            &stream, &run.stats)
-                            .status());
+  CROWDER_RETURN_NOT_OK(
+      core::HybridWorkflow::MachinePassInto(dataset, config, &stream, &run.stats).status());
   CROWDER_ASSIGN_OR_RETURN(run.pairs, stream.MaterializeSorted());
   run.wall_s = timer.ElapsedSeconds();
   return run;

@@ -46,11 +46,15 @@ int Main() {
             << WithThousands(materialized.size()) << " pairs)\n";
 
   // Streaming under the budget.
+  core::WorkflowConfig streaming;
+  streaming.measure = similarity::SetMeasure::kJaccard;
+  streaming.likelihood_threshold = threshold;
+  streaming.num_threads = threads;
+  streaming.memory_budget_bytes = budget;
   core::PairStream stream(budget);
   timer.Reset();
-  const auto stats = core::HybridWorkflow::MachinePassStream(
-                         dataset, similarity::SetMeasure::kJaccard, threshold, threads, &stream)
-                         .ValueOrDie();
+  const auto stats =
+      core::HybridWorkflow::MachinePassInto(dataset, streaming, &stream, nullptr).ValueOrDie();
   const double streaming_s = timer.ElapsedSeconds();
   const size_t spilled_blocks = stream.spill_file() ? stream.spill_file()->num_blocks() : 0;
   std::cout << "streaming:    " << FormatDouble(streaming_s, 2) << " s ("

@@ -1,7 +1,10 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 namespace crowder {
 
@@ -79,6 +82,35 @@ std::string WithThousands(long long value) {
 }
 
 
+namespace {
+
+Status NumberError(const char* what, std::string_view text) {
+  return Status::InvalidArgument(std::string(what) + ": '" + std::string(text) + "'");
+}
+
+}  // namespace
+
+template <typename T>
+Result<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::result_out_of_range) return NumberError("number out of range", text);
+  if (std::is_unsigned_v<T> && !text.empty() && text[0] == '-') {
+    return NumberError("negative value where none is allowed", text);
+  }
+  if (error != std::errc() || stop != end) return NumberError("not a number", text);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return NumberError("not a finite number", text);
+  }
+  return value;
+}
+
+template Result<int> ParseNumber<int>(std::string_view);
+template Result<uint32_t> ParseNumber<uint32_t>(std::string_view);
+template Result<uint64_t> ParseNumber<uint64_t>(std::string_view);
+template Result<double> ParseNumber<double>(std::string_view);
+
 Result<uint64_t> ParseByteSize(const std::string& text) {
   if (text.empty()) return Status::InvalidArgument("empty byte size");
   size_t digits = 0;
@@ -86,12 +118,8 @@ Result<uint64_t> ParseByteSize(const std::string& text) {
     ++digits;
   }
   if (digits == 0) return Status::InvalidArgument("byte size must start with digits: " + text);
-  uint64_t value = 0;
-  try {
-    value = std::stoull(text.substr(0, digits));
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("unparseable byte size: " + text);
-  }
+  const Result<uint64_t> value = ParseNumber<uint64_t>(std::string_view(text).substr(0, digits));
+  if (!value.ok()) return Status::InvalidArgument("unparseable byte size: " + text);
   const std::string suffix = text.substr(digits);
   uint64_t multiplier = 1;
   if (suffix == "K" || suffix == "k") {
@@ -105,7 +133,7 @@ Result<uint64_t> ParseByteSize(const std::string& text) {
                                    "' (use K/M/G, either case)");
   }
   uint64_t bytes = 0;
-  if (__builtin_mul_overflow(value, multiplier, &bytes)) {
+  if (__builtin_mul_overflow(*value, multiplier, &bytes)) {
     return Status::InvalidArgument("byte size overflows 64 bits: " + text);
   }
   return bytes;

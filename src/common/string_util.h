@@ -35,6 +35,16 @@ std::string FormatDouble(double value, int digits);
 /// \brief Renders 12345 as "12,345" for table output.
 std::string WithThousands(long long value);
 
+/// \brief Parses the whole of `text` as one number of type T (int,
+/// uint32_t, uint64_t or double) with std::from_chars. Errors
+/// (InvalidArgument, naming the text) on an empty string, leading
+/// whitespace or '+', trailing bytes ("12abc"), a minus sign on an unsigned
+/// T ("-1", which a stoul-and-cast would wrap to 4294967295), a value
+/// outside T's range ("5999999999999999999997"), and — for double — a value
+/// that is not finite ("nan", "inf").
+template <typename T>
+Result<T> ParseNumber(std::string_view text);
+
 /// \brief Parses a byte size with an optional binary-unit suffix, upper- or
 /// lowercase: "4096" -> 4096, "64K" == "64k" -> 65536, "256M" -> 2^28,
 /// "1G" -> 2^30. Errors (InvalidArgument) on an empty string, a missing

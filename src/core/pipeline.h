@@ -115,8 +115,8 @@ class PairStream {
   /// may be open (each holds its own read positions).
   Result<SortedCursor> OpenSortedCursor() const;
 
-  /// Materializes the full sorted pair list (how a kMaterialized run fed by
-  /// the sharded machine pass fills result.candidate_pairs).
+  /// Materializes the full sorted pair list (how a kMaterialized run fills
+  /// result.candidate_pairs).
   Result<std::vector<similarity::ScoredPair>> MaterializeSorted() const;
 
  private:
@@ -138,8 +138,8 @@ struct StageTiming {
 /// byte-identity contract between execution modes).
 struct PipelineStats {
   std::vector<StageTiming> stages;
-  /// Pairs that flowed through the bounded candidate stream (kStreaming
-  /// only).
+  /// Pairs that flowed through the candidate stream (every run's machine
+  /// pass fills it, so this equals num_candidate_pairs).
   uint64_t streamed_pairs = 0;
   /// Bytes the candidate stream spilled to disk (0 when under budget).
   uint64_t spilled_bytes = 0;

@@ -10,7 +10,6 @@
 #include "graph/pair_graph.h"
 #include "hitgen/packing.h"
 #include "hitgen/two_tiered_generator.h"
-#include "similarity/parallel_join.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
@@ -154,10 +153,6 @@ Result<ClusterBoundary> BuildClusterBoundary(const PairStream& stream, uint32_t 
 
 namespace {
 
-bool IsStreaming(const WorkflowState& state) {
-  return state.config->execution_mode == ExecutionMode::kStreaming;
-}
-
 // The one place the ranked score is assembled: the crowd posterior ranks
 // first; the machine likelihood breaks ties among equal posteriors (e.g.
 // all-yes unanimous pairs).
@@ -178,53 +173,13 @@ eval::RankedPair MakeRankedPair(const similarity::ScoredPair& pair, double proba
 // ---------------------------------------------------------------------------
 
 Status MachinePassStage::Run(WorkflowState* state) {
-  const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
-
-  HybridWorkflow::MachineStreamStats stream_stats;
-  if (config.num_shards >= 2) {
-    // Sharded machine pass (src/shard/): N workers, one owned band each,
-    // merged through the stream's k-way merge — byte-identical to the
-    // single-process pass (the ownership lemma + merge-identity argument,
-    // shard/plan.h).
-    shard::ShardExecOptions exec;
-    exec.num_shards = config.num_shards;
-    exec.worker_path = config.shard_worker_path;
-    CROWDER_ASSIGN_OR_RETURN(
-        stream_stats,
-        HybridWorkflow::MachinePassSharded(*state->dataset, config.measure,
-                                           config.likelihood_threshold, exec, &state->stream,
-                                           &result.shard_stats));
-    if (!IsStreaming(*state)) {
-      CROWDER_ASSIGN_OR_RETURN(result.candidate_pairs, state->stream.MaterializeSorted());
-    }
-  } else if (IsStreaming(*state)) {
-    // Bounded blocks through state->stream: the full sorted list is never
-    // materialized. The sorted scan reproduces MachinePass' (a, b)-sorted
-    // output exactly, so everything downstream sees the same bytes.
-    CROWDER_ASSIGN_OR_RETURN(
-        stream_stats,
-        HybridWorkflow::MachinePassStream(*state->dataset, config.measure,
-                                          config.likelihood_threshold, config.num_threads,
-                                          &state->stream, config.stream_block_records));
-  } else {
-    // MachinePass runs every CandidateStrategy; its (a, b)-sorted list is
-    // kept for the result and becomes the stream's single block.
-    CROWDER_ASSIGN_OR_RETURN(
-        result.candidate_pairs,
-        HybridWorkflow::MachinePass(*state->dataset, config.measure,
-                                    config.likelihood_threshold, config.candidate_strategy,
-                                    config.num_threads));
-    stream_stats.num_pairs = result.candidate_pairs.size();
-    stream_stats.candidate_matches =
-        internal::CountCandidateMatches(*state->dataset, result.candidate_pairs);
-    CROWDER_RETURN_NOT_OK(state->stream.Append(PairBlock(result.candidate_pairs)));
-    CROWDER_RETURN_NOT_OK(state->stream.Finish());
-  }
-  if (IsStreaming(*state)) {
-    result.pipeline_stats.streamed_pairs = stream_stats.num_pairs;
-    result.pipeline_stats.spilled_bytes = stream_stats.spilled_bytes;
-  }
+  CROWDER_ASSIGN_OR_RETURN(
+      const HybridWorkflow::MachineStreamStats stream_stats,
+      HybridWorkflow::MachinePassInto(*state->dataset, *state->config, &state->stream,
+                                      &result.shard_stats));
+  result.pipeline_stats.streamed_pairs = stream_stats.num_pairs;
+  result.pipeline_stats.spilled_bytes = stream_stats.spilled_bytes;
   result.num_candidate_pairs = stream_stats.num_pairs;
   result.machine_recall = static_cast<double>(stream_stats.candidate_matches) /
                           static_cast<double>(result.total_matches);
@@ -325,8 +280,11 @@ Status AggregateStage::Run(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
   if (result.num_candidate_pairs == 0 || state->votes == nullptr) return Status::OK();
-  if (!IsStreaming(*state)) {
-    // kMaterialized results keep the vote table: the unfiltered audit truth.
+  if (config.execution_mode == ExecutionMode::kMaterialized) {
+    // The one step the execution mode decides: kMaterialized results keep
+    // the sorted pair list and the vote table (the unfiltered audit truth),
+    // both read back from the stores every run fills.
+    CROWDER_ASSIGN_OR_RETURN(result.candidate_pairs, state->stream.MaterializeSorted());
     for (size_t shard = 0; shard < state->votes->num_shards(); ++shard) {
       CROWDER_ASSIGN_OR_RETURN(aggregate::VoteTable table, state->votes->LoadShard(shard));
       std::move(table.begin(), table.end(), std::back_inserter(result.crowd_stats.votes));

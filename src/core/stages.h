@@ -1,8 +1,8 @@
 // The pipeline stages HybridWorkflow composes (CrowdER §2.2's phases):
 //
-//   MachinePassStage  records → candidate pairs in WorkflowState::stream
-//                     (kMaterialized also keeps the sorted list in
-//                     result.candidate_pairs)
+//   MachinePassStage  records → candidate pairs in WorkflowState::stream,
+//                     under any CandidateStrategy, sharded or not
+//                     (HybridWorkflow::MachinePassInto)
 //   HitGenStage       candidate pairs → cluster HITs plus the component-
 //                     bucket pair store the crowd rounds read their contexts
 //                     from (two-tiered: per-bucket decomposition over
@@ -11,7 +11,8 @@
 //                     the full pair graph and a one-bucket store). Pair HITs
 //                     are packed by the driver, one partition at a time.
 //   AggregateStage    votes → ranked matches + PR curve, shard by shard over
-//                     the vote store and the sorted stream
+//                     the vote store and the sorted stream (kMaterialized
+//                     also keeps the sorted pair list and the vote table)
 //
 // The crowd phase is not a Stage: it is a sequence of *rounds* surfaced by
 // core::WorkflowDriver (driver.h) — the driver prepares one HIT batch at a
@@ -21,14 +22,14 @@
 // timing spanning the rounds.
 //
 // Stages communicate through WorkflowState, never through globals. Both
-// execution modes run every stage and cross the same partitioned crowd
-// boundary (core/partition.h); kMaterialized is its single-partition,
-// unbounded-budget case (EffectiveWorkflowConfig), which is why the modes
-// are byte-identical (see the merge lemma in core/pipeline.h and the
-// partition-invisibility argument in docs/ARCHITECTURE.md). The mode still
-// picks the machine pass (every CandidateStrategy vs the blocked join) and
-// the cluster generator, and whether the result keeps the pair list and the
-// vote table.
+// execution modes run every stage the same way and cross the same
+// partitioned crowd boundary (core/partition.h); kMaterialized is its
+// single-partition, unbounded-budget case (EffectiveWorkflowConfig), which
+// is why the modes are byte-identical (see the merge lemma in
+// core/pipeline.h and the partition-invisibility argument in
+// docs/ARCHITECTURE.md). No stage branches on the mode except
+// AggregateStage's result-retention step: whether the result keeps the pair
+// list and the vote table.
 #ifndef CROWDER_CORE_STAGES_H_
 #define CROWDER_CORE_STAGES_H_
 
@@ -101,10 +102,9 @@ struct WorkflowState {
 
 /// \brief Machine pass + prune into state->stream, where the pairs stay —
 /// every downstream consumer re-scans the (possibly spilled) stream in
-/// sorted order. kMaterialized runs HybridWorkflow::MachinePass (any
-/// CandidateStrategy) and also keeps the sorted list in
-/// result.candidate_pairs; kStreaming drives BlockedAllPairsJoinStream; the
-/// sharded pass (num_shards >= 2) serves both. Also computes machine recall.
+/// sorted order. One call to HybridWorkflow::MachinePassInto: the sharded
+/// runtime when num_shards >= 2, otherwise the single-process pass of the
+/// configured CandidateStrategy. Also computes machine recall.
 class MachinePassStage : public Stage {
  public:
   const char* name() const override { return "machine-pass"; }
@@ -115,8 +115,9 @@ class MachinePassStage : public Stage {
 /// (packed per partition as the partitions are drawn from the stream).
 /// Two-tiered cluster HITs run internal::BuildClusterBoundary — the HIT list
 /// TwoTieredGenerator produces, without ever holding the whole pair graph.
-/// The other cluster generators (kMaterialized only) decompose the full pair
-/// graph and leave a one-bucket store of every pair in global order.
+/// The other cluster generators (random, bfs, dfs, approximation) decompose
+/// the full pair graph — O(|P|) resident while they run, under any budget —
+/// and leave a one-bucket store of every pair in global order.
 class HitGenStage : public Stage {
  public:
   const char* name() const override { return "hit-gen"; }
@@ -128,8 +129,9 @@ class HitGenStage : public Stage {
 /// the candidate stream for the pair identities — majority vote
 /// partition-blind by pair independence, Dawid-Skene because shards tile
 /// the global pair order, so every floating-point accumulation happens in
-/// one order at any partitioning. kMaterialized results also get the
-/// unfiltered vote table in result.crowd_stats.votes.
+/// one order at any partitioning. kMaterialized results also get the sorted
+/// pair list in result.candidate_pairs and the unfiltered vote table in
+/// result.crowd_stats.votes.
 class AggregateStage : public Stage {
  public:
   const char* name() const override { return "aggregate"; }

@@ -1,5 +1,6 @@
 #include "core/workflow.h"
 
+#include <limits>
 #include <memory>
 
 #include "common/logging.h"
@@ -85,60 +86,49 @@ Result<std::vector<similarity::ScoredPair>> HybridWorkflow::MachinePass(
   return Status::InvalidArgument("unknown candidate strategy");
 }
 
-Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassStream(
-    const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
-    uint32_t num_threads, PairStream* stream, uint32_t block_records) {
-  CROWDER_CHECK(stream != nullptr);
-  CROWDER_RETURN_NOT_OK(dataset.Validate());
-  similarity::JoinInput input =
-      internal::BuildJoinInput(dataset, CandidateStrategy::kAllPairsJoin, nullptr);
-
-  similarity::JoinOptions options;
-  options.measure = measure;
-  options.threshold = threshold;
-  similarity::ParallelJoinOptions exec_options;
-  exec_options.num_threads = num_threads;
-  exec_options.block_records = block_records;
-
-  MachineStreamStats stats;
-  CROWDER_RETURN_NOT_OK(similarity::BlockedAllPairsJoinStream(
-      input, options, exec_options, [&](std::vector<similarity::ScoredPair>&& block) {
-        stats.num_pairs += block.size();
-        stats.candidate_matches += internal::CountCandidateMatches(dataset, block);
-        return stream->Append(std::move(block));
-      }));
-  CROWDER_RETURN_NOT_OK(stream->Finish());
-  stats.spilled_bytes = stream->spilled_bytes();
-  stats.num_blocks = stream->num_blocks();
-  return stats;
-}
-
-Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
-    const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
-    const shard::ShardExecOptions& exec, PairStream* stream,
+Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassInto(
+    const data::Dataset& dataset, const WorkflowConfig& config, PairStream* stream,
     shard::ShardRunStats* shard_run_stats) {
   CROWDER_CHECK(stream != nullptr);
-  CROWDER_RETURN_NOT_OK(dataset.Validate());
-  similarity::JoinInput input =
-      internal::BuildJoinInput(dataset, CandidateStrategy::kAllPairsJoin, nullptr);
-
-  similarity::JoinOptions options;
-  options.measure = measure;
-  options.threshold = threshold;
-
-  // The coordinator hands over blocks that are internally (a, b)-sorted
-  // with disjoint pair sets across shards (shard/coordinator.h) — exactly
-  // the PairStream::Append contract, so the stream's k-way merge
-  // reproduces the single-process SortPairs order byte-for-byte.
   MachineStreamStats stats;
-  CROWDER_RETURN_NOT_OK(shard::RunShardedJoin(
-      input, options, exec,
-      [&](std::vector<similarity::ScoredPair>&& block) {
-        stats.num_pairs += block.size();
-        stats.candidate_matches += internal::CountCandidateMatches(dataset, block);
-        return stream->Append(std::move(block));
-      },
-      shard_run_stats));
+  // Every producer hands over (a, b)-sorted blocks with disjoint pair sets —
+  // exactly the PairStream::Append contract, so the stream's k-way merge
+  // reproduces the single-process SortPairs order byte-for-byte.
+  const auto sink = [&](std::vector<similarity::ScoredPair>&& block) {
+    stats.num_pairs += block.size();
+    stats.candidate_matches += internal::CountCandidateMatches(dataset, block);
+    return stream->Append(std::move(block));
+  };
+  if (config.num_shards < 2 && config.candidate_strategy != CandidateStrategy::kAllPairsJoin) {
+    CROWDER_ASSIGN_OR_RETURN(auto pairs,
+                             MachinePass(dataset, config.measure, config.likelihood_threshold,
+                                         config.candidate_strategy, config.num_threads));
+    CROWDER_RETURN_NOT_OK(sink(std::move(pairs)));
+  } else {
+    CROWDER_RETURN_NOT_OK(dataset.Validate());
+    const similarity::JoinInput input =
+        internal::BuildJoinInput(dataset, CandidateStrategy::kAllPairsJoin, nullptr);
+    similarity::JoinOptions options;
+    options.measure = config.measure;
+    options.threshold = config.likelihood_threshold;
+    if (config.num_shards >= 2) {
+      shard::ShardExecOptions exec;
+      exec.num_shards = config.num_shards;
+      exec.worker_path = config.shard_worker_path;
+      CROWDER_RETURN_NOT_OK(shard::RunShardedJoin(input, options, exec, sink, shard_run_stats));
+    } else {
+      similarity::ParallelJoinOptions exec;
+      exec.num_threads = config.num_threads;
+      exec.block_records = config.stream_block_records;
+      // Unbounded and unblocked: one block, the same probe-then-sort work as
+      // ParallelAllPairsJoin. Cutting it into blocks bounds nothing here and
+      // costs a barrier per block.
+      if (config.stream_block_records == 0 && config.memory_budget_bytes == 0) {
+        exec.block_records = std::numeric_limits<uint32_t>::max();
+      }
+      CROWDER_RETURN_NOT_OK(similarity::BlockedAllPairsJoinStream(input, options, exec, sink));
+    }
+  }
   CROWDER_RETURN_NOT_OK(stream->Finish());
   stats.spilled_bytes = stream->spilled_bytes();
   stats.num_blocks = stream->num_blocks();
@@ -163,20 +153,6 @@ Status ValidateWorkflowConfig(const WorkflowConfig& config) {
   }
   if (config.pairs_per_hit < 1) {
     return Status::InvalidArgument("pairs_per_hit must be >= 1");
-  }
-  if (config.execution_mode == ExecutionMode::kStreaming &&
-      config.candidate_strategy != CandidateStrategy::kAllPairsJoin) {
-    return Status::InvalidArgument(
-        "streaming execution requires the kAllPairsJoin candidate strategy (the "
-        "other strategies have no streaming driver)");
-  }
-  if (config.execution_mode == ExecutionMode::kStreaming &&
-      config.hit_type == HitType::kClusterBased &&
-      config.cluster_algorithm != hitgen::ClusterAlgorithm::kTwoTiered) {
-    return Status::InvalidArgument(
-        "streaming execution with cluster-based HITs requires the two-tiered "
-        "generator (the only cluster algorithm whose decomposition is "
-        "component-local and therefore partitionable)");
   }
   if (config.num_shards >= 2) {
     if (config.candidate_strategy != CandidateStrategy::kAllPairsJoin) {

@@ -10,11 +10,13 @@
 // surfaces crowd work one HIT batch at a time) and a crowd::CrowdBackend
 // (who answers it — by default the deterministic simulator; pass your own
 // backend to replay a recorded run or attach a real crowd).
-// Both execution modes run one pipeline over a sorted candidate stream and
-// a partitioned crowd boundary; WorkflowConfig::execution_mode picks whether
-// that boundary is one unbounded partition (kMaterialized, which also keeps
-// the pair list and vote table) or bounded and disk-spilling (kStreaming).
-// The two modes are byte-identical — the golden workflow test pins it.
+// Every run is one pipeline: one machine pass (any CandidateStrategy) fills
+// a sorted candidate stream, and any cluster generator and the partitioned
+// crowd boundary read it. WorkflowConfig::execution_mode only picks whether
+// that pipeline is unbounded with a single crowd partition (kMaterialized,
+// which also keeps the pair list and vote table) or bounded and
+// disk-spilling (kStreaming). The two modes are byte-identical — the golden
+// workflow test pins it.
 #ifndef CROWDER_CORE_WORKFLOW_H_
 #define CROWDER_CORE_WORKFLOW_H_
 
@@ -74,33 +76,33 @@ enum class CandidateStrategy {
   kSortedNeighborhoodVerify,
 };
 
-/// \brief How the run trades resident memory for reach. Both modes cross
-/// the same partitioned crowd boundary (core/partition.h): HIT generation,
-/// crowd rounds, vote storage and aggregation run over a sorted candidate
-/// PairStream, one pair partition at a time. The mode picks only which
-/// machine pass and cluster generator run, whether the boundary is bounded,
-/// and whether the result keeps the pair list and the vote table.
+/// \brief How the run trades resident memory for reach. Both modes run
+/// the same pipeline: HybridWorkflow::MachinePassInto fills a sorted
+/// candidate PairStream under any CandidateStrategy, and HIT generation (any
+/// cluster algorithm), crowd rounds, vote storage and aggregation cross the
+/// partitioned crowd boundary (core/partition.h) one pair partition at a
+/// time. The mode does two things only: EffectiveWorkflowConfig resolves the
+/// budget, partition and block settings from it, and it decides whether the
+/// result keeps the pair list and the vote table.
 enum class ExecutionMode {
-  /// The boundary's single-partition case: unbounded budget, one crowd
-  /// partition, no spilling (the kStreaming-only settings are ignored; see
-  /// EffectiveWorkflowConfig). Runs every CandidateStrategy and every
-  /// cluster algorithm, and keeps `result.candidate_pairs` and
+  /// The single-partition case: unbounded budget, one crowd partition, one
+  /// join block, no spilling (the kStreaming-only settings are ignored; see
+  /// EffectiveWorkflowConfig). Keeps `result.candidate_pairs` and
   /// `result.crowd_stats.votes`. Peak memory O(|P|).
   kMaterialized,
-  /// The bounded case. The machine pass emits blocks through the PairStream;
-  /// under `memory_budget_bytes` each bounded structure (the stream, the
-  /// component buckets, the vote shards) caps its resident bytes and spills
-  /// the overflow to temp files, and the crowd boundary is cut into
-  /// partitions of `crowd_partition_pairs`. The full workflow never
-  /// materializes the pair list, the pair graph, or the vote table —
+  /// The bounded case: under `memory_budget_bytes` each bounded structure
+  /// (the stream, the component buckets, the vote shards) caps its resident
+  /// bytes and spills the overflow to temp files, and the crowd boundary is
+  /// cut into partitions of `crowd_partition_pairs`.
   /// `result.candidate_pairs` and `result.crowd_stats.votes` stay empty (see
-  /// `num_candidate_pairs`) and the only pair-proportional output is the
-  /// final ranked list. Requires CandidateStrategy::kAllPairsJoin (the other
-  /// strategies have no streaming driver); cluster-based HITs additionally
-  /// require the two-tiered generator (the only cluster algorithm whose
-  /// decomposition is component-local and therefore partitionable). Output
-  /// is byte-identical to kMaterialized at any thread count, block size,
-  /// budget, and partition capacity.
+  /// `num_candidate_pairs`). The budget bounds those three structures only:
+  /// the kBlockingVerify and kSortedNeighborhoodVerify machine passes and
+  /// the full-graph cluster generators (random, bfs, dfs, approximation)
+  /// still hold O(|P|) while they run — only kAllPairsJoin with the
+  /// two-tiered generator (or pair-based HITs) keeps the whole workflow
+  /// bounded, apart from the final ranked list. Output is byte-identical to
+  /// kMaterialized at any thread count, block size, budget, and partition
+  /// capacity.
   kStreaming,
 };
 
@@ -110,8 +112,9 @@ struct WorkflowConfig {
   double likelihood_threshold = 0.3;
   CandidateStrategy candidate_strategy = CandidateStrategy::kAllPairsJoin;
   /// Worker threads (0 = exec::HardwareConcurrency(), which honors
-  /// CROWDER_THREADS; 1 = the serial code paths, unchanged). Results are
-  /// identical at any value — a contract pinned by the golden workflow test.
+  /// CROWDER_THREADS; 1 = no worker threads, everything on the caller).
+  /// Results are identical at any value — a contract pinned by the golden
+  /// workflow test.
   ///
   /// What parallelizes: the machine pass only under
   /// CandidateStrategy::kAllPairsJoin (kBlockingVerify and
@@ -125,21 +128,27 @@ struct WorkflowConfig {
   // ---- Execution. ----
   ExecutionMode execution_mode = ExecutionMode::kMaterialized;
   /// kStreaming only (kMaterialized ignores it): resident bytes each
-  /// bounded structure may hold before spilling blocks to disk (0 =
-  /// unbounded, never spills).
+  /// bounded structure (candidate stream, component buckets, vote shards)
+  /// may hold before spilling blocks to disk (0 = unbounded, never spills).
+  /// Any CandidateStrategy and cluster algorithm runs under any budget; see
+  /// ExecutionMode::kStreaming for what the budget does not bound.
   uint64_t memory_budget_bytes = 0;
-  /// kStreaming only (kMaterialized ignores it): probe records per emitted
-  /// block — the granularity of streaming (and of spilling). 0 = the join's
-  /// default. Any value yields identical output.
+  /// kStreaming only (kMaterialized ignores it): probe records per block the
+  /// kAllPairsJoin machine pass emits — the granularity of streaming (and of
+  /// spilling). 0 = the join's default (4096) under a memory budget, and one
+  /// block of every pair when memory_budget_bytes is 0 too (the same
+  /// probe-then-sort work as ParallelAllPairsJoin; nothing bounds it, so
+  /// nothing is gained by cutting it). The other strategies always emit one
+  /// block. Any value yields identical output.
   uint32_t stream_block_records = 0;
   /// kStreaming only (kMaterialized ignores it): pairs per crowd-boundary
   /// partition (0 = derived from memory_budget_bytes, or a single partition
   /// when that is 0 too). For
   /// pair-based HITs the capacity is rounded down to a multiple of
-  /// pairs_per_hit; for cluster-based HITs partitions hold whole connected
-  /// components, so one oversized component can exceed the capacity. Any
-  /// value yields identical output (the partitioned golden dimension pins
-  /// it).
+  /// pairs_per_hit; for cluster-based HITs a crowd round is a range of
+  /// whole HITs whose pair contexts fit the capacity, so one HIT whose
+  /// context alone exceeds it makes an oversized round. Any value yields
+  /// identical output (the partitioned golden dimension pins it).
   uint64_t crowd_partition_pairs = 0;
 
   // ---- Sharded machine pass (src/shard/; docs/ARCHITECTURE.md). ----
@@ -147,7 +156,7 @@ struct WorkflowConfig {
   /// the single-process pass (unchanged, golden-pinned bytes). >= 2 runs
   /// the sharded runtime — requires kAllPairsJoin and a positive
   /// likelihood_threshold (prefix filtering degenerates at 0) — whose
-  /// merged candidate list is byte-identical to the single-process pass at
+  /// merged candidate stream is byte-identical to the single-process pass at
   /// any shard count, in both execution modes.
   uint32_t num_shards = 0;
   /// Path to the crowder_shardd worker binary. Empty runs every shard
@@ -212,7 +221,7 @@ struct WorkflowConfig {
 
 /// \brief The configuration a run executes: for kMaterialized the
 /// kStreaming-only settings resolve to "unbounded budget, one partition,
-/// default block size" (memory_budget_bytes = crowd_partition_pairs =
+/// one join block" (memory_budget_bytes = crowd_partition_pairs =
 /// stream_block_records = 0); a kStreaming config is returned unchanged.
 /// WorkflowDriver runs on this, so no kMaterialized run spills or splits
 /// its crowd rounds into partitions.
@@ -220,8 +229,9 @@ WorkflowConfig EffectiveWorkflowConfig(WorkflowConfig config);
 
 /// \brief Validates a configuration: threshold in [0,1], cluster size >= 2,
 /// pairs per HIT >= 1, sane crowd-model fractions, pool large enough for the
-/// replication factor, and kStreaming only with kAllPairsJoin. Run() calls
-/// this before any work.
+/// replication factor, and the sharded pass only with kAllPairsJoin above a
+/// zero threshold. Every CandidateStrategy and cluster algorithm is valid
+/// in both execution modes. Run() calls this before any work.
 Status ValidateWorkflowConfig(const WorkflowConfig& config);
 
 /// \brief What the driver observed about one crowd round (one HIT batch):
@@ -248,9 +258,10 @@ struct CrowdRoundStats {
 };
 
 struct WorkflowResult {
-  /// Pairs surviving the machine pass (the set P sent to the crowd).
-  /// kMaterialized only — kStreaming never holds P, so this stays empty
-  /// there; use num_candidate_pairs for the count.
+  /// Pairs surviving the machine pass (the set P sent to the crowd), in
+  /// (a, b) order. kMaterialized only — read back from the candidate stream
+  /// at the end of the run; kStreaming never holds P, so this stays empty
+  /// there. Use num_candidate_pairs for the count.
   std::vector<similarity::ScoredPair> candidate_pairs;
   /// |P| in both execution modes.
   uint64_t num_candidate_pairs = 0;
@@ -315,7 +326,8 @@ class HybridWorkflow {
       CandidateStrategy strategy = CandidateStrategy::kAllPairsJoin,
       uint32_t num_threads = 1);
 
-  /// What a streaming machine pass reports without materializing its pairs.
+  /// What a stream-filling machine pass reports without materializing its
+  /// pairs.
   struct MachineStreamStats {
     uint64_t num_pairs = 0;
     /// True matches among the emitted pairs (machine recall numerator).
@@ -324,36 +336,32 @@ class HybridWorkflow {
     size_t num_blocks = 0;
   };
 
-  /// The streaming machine pass alone (kAllPairsJoin only): emits candidate
-  /// blocks of `block_records` probe records (0 = the join's default) into
-  /// `stream` (whose memory budget the caller chose) and never holds more
-  /// than one block of pairs outside it — except at threshold <= 0, where
-  /// every pair qualifies and the O(n^2) output is first materialized by the
-  /// exhaustive join (then still fed to the stream in bounded blocks). The
-  /// stream's sorted scan is byte-identical to MachinePass' return value.
-  /// Backbone of `crowder_cli run --machine-only --streaming` and
-  /// bench_stream.
-  static Result<MachineStreamStats> MachinePassStream(const data::Dataset& dataset,
-                                                      similarity::SetMeasure measure,
-                                                      double threshold, uint32_t num_threads,
-                                                      PairStream* stream,
-                                                      uint32_t block_records = 0);
-
-  /// The sharded machine pass (kAllPairsJoin only, threshold > 0): plans
-  /// the shard bands, runs `exec.num_shards` workers — crowder_shardd
-  /// subprocesses when `exec.worker_path` is set, in-process otherwise —
-  /// and feeds their sorted, disjoint owned pair blocks into `stream`,
-  /// whose k-way-merged sorted scan is byte-identical to MachinePass /
-  /// MachinePassStream over the same dataset (the ownership lemma and
-  /// merge-identity argument live in shard/plan.h, shard/coordinator.h and
-  /// docs/ARCHITECTURE.md). `shard_run_stats` (optional) receives the
-  /// per-shard wall/CPU/RSS and coordinator timings.
-  static Result<MachineStreamStats> MachinePassSharded(const data::Dataset& dataset,
-                                                       similarity::SetMeasure measure,
-                                                       double threshold,
-                                                       const shard::ShardExecOptions& exec,
-                                                       PairStream* stream,
-                                                       shard::ShardRunStats* shard_run_stats);
+  /// The machine pass every workflow run takes: finds the candidate pairs
+  /// of `config` (measure, likelihood_threshold, candidate_strategy,
+  /// num_threads, num_shards, shard_worker_path, stream_block_records) and
+  /// appends them to `stream` in (a, b)-sorted blocks, then finishes it.
+  /// The caller sizes the stream (normally with config.memory_budget_bytes
+  /// of the effective config). Three producers, one contract — the stream's
+  /// sorted scan is byte-identical to MachinePass' return value:
+  ///  * num_shards >= 2: the sharded runtime (src/shard/) — crowder_shardd
+  ///    subprocesses when shard_worker_path is set, in-process otherwise —
+  ///    whose sorted, disjoint per-shard blocks the stream's k-way merge
+  ///    restores to the global order (the ownership lemma and merge-identity
+  ///    argument live in shard/plan.h, shard/coordinator.h and
+  ///    docs/ARCHITECTURE.md). `shard_run_stats` (optional) receives the
+  ///    per-shard wall/CPU/RSS and coordinator timings.
+  ///  * kAllPairsJoin: BlockedAllPairsJoinStream in blocks of
+  ///    stream_block_records probe records, or ONE block when both
+  ///    stream_block_records and memory_budget_bytes are 0 (see the field).
+  ///    Outside the stream it holds at most one block of pairs — except at
+  ///    threshold <= 0, where every pair qualifies and the exhaustive join
+  ///    materializes the O(n^2) output first.
+  ///  * kBlockingVerify / kSortedNeighborhoodVerify: MachinePass' sorted
+  ///    list as one block (serial algorithms that hold O(|P|) anyway).
+  static Result<MachineStreamStats> MachinePassInto(const data::Dataset& dataset,
+                                                    const WorkflowConfig& config,
+                                                    PairStream* stream,
+                                                    shard::ShardRunStats* shard_run_stats);
 
  private:
   WorkflowConfig config_;

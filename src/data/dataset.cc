@@ -4,6 +4,7 @@
 
 #include "common/csv.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace crowder {
 namespace data {
@@ -109,8 +110,15 @@ Result<Dataset> ReadDatasetCsv(const std::string& path, const std::string& name)
       dataset.table.attribute_names.push_back(csv.header[c]);
     }
   }
+  // A bad label cell names its row (1-based, after the header) and column.
+  const auto label = [&](size_t row, int col, Status status) {
+    return Status::InvalidArgument(path + ": row " + std::to_string(row + 1) + " " +
+                                   csv.header[static_cast<size_t>(col)] + ": " +
+                                   status.message());
+  };
   bool multi_source = false;
-  for (const auto& row : csv.rows) {
+  for (size_t i = 0; i < csv.rows.size(); ++i) {
+    const std::vector<std::string>& row = csv.rows[i];
     std::vector<std::string> rec;
     for (size_t c = 0; c < row.size(); ++c) {
       if (static_cast<int>(c) != source_col && static_cast<int>(c) != entity_col) {
@@ -118,11 +126,13 @@ Result<Dataset> ReadDatasetCsv(const std::string& path, const std::string& name)
       }
     }
     dataset.table.records.push_back(std::move(rec));
-    const int src = std::stoi(row[static_cast<size_t>(source_col)]);
-    dataset.table.sources.push_back(src);
-    if (src != 0) multi_source = true;
-    dataset.truth.entity_of.push_back(
-        static_cast<uint32_t>(std::stoul(row[static_cast<size_t>(entity_col)])));
+    const Result<int> src = ParseNumber<int>(row[static_cast<size_t>(source_col)]);
+    if (!src.ok()) return label(i, source_col, src.status());
+    const Result<uint32_t> entity = ParseNumber<uint32_t>(row[static_cast<size_t>(entity_col)]);
+    if (!entity.ok()) return label(i, entity_col, entity.status());
+    dataset.table.sources.push_back(*src);
+    if (*src != 0) multi_source = true;
+    dataset.truth.entity_of.push_back(*entity);
   }
   if (!multi_source) dataset.table.sources.clear();
   CROWDER_RETURN_NOT_OK(dataset.Validate());

@@ -276,6 +276,34 @@ TEST(DatasetCsvTest, MissingColumnsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(DatasetCsvTest, BadLabelCellsReturnNamedStatus) {
+  // Cells a mutated CSV produced: each once aborted the process through an
+  // uncaught std::stoul/std::stoi exception, or read as a wrong number.
+  const std::string path = "/tmp/crowder_dataset_label_test.csv";
+  const struct {
+    const char* source;
+    const char* entity;
+    const char* column;
+  } cases[] = {
+      {"0", "5999999999999999999997", "__entity"},
+      {"0", "-1", "__entity"},
+      {"0", "12abc", "__entity"},
+      {"abc", "3", "__source"},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(WriteCsvFile(path, {"name", "__source", "__entity"},
+                             {{"ok", "0", "1"}, {"bad", c.source, c.entity}})
+                    .ok());
+    const auto read = ReadDatasetCsv(path, "bad");
+    ASSERT_FALSE(read.ok()) << c.source << "|" << c.entity;
+    EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status().ToString();
+    EXPECT_NE(read.status().message().find(std::string("row 2 ") + c.column),
+              std::string::npos)
+        << read.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace data
 }  // namespace crowder

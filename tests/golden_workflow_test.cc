@@ -540,11 +540,12 @@ uint64_t VotesDigest(const WorkflowResult& result) {
   return fnv.value();
 }
 
-// The configurations only kMaterialized can run (other cluster generators,
+// The configurations off the default route (other cluster generators,
 // other candidate strategies), plus pair HITs under majority vote and one
 // defended adaptive run. Recorded from the materialized crowd path that
-// predates the single partitioned crowd boundary; they must never be
-// re-recorded to follow a refactor of that boundary.
+// predates the single partitioned crowd boundary, back when only
+// kMaterialized could run them; they must never be re-recorded to follow a
+// refactor of that boundary or of the machine pass.
 struct MaterializedPin {
   const char* name;
   WorkflowConfig (*config)();
@@ -623,6 +624,64 @@ TEST(GoldenWorkflowTest, MaterializedOnlyConfigurationsArePinned) {
         << pin.name << std::hex << " votes 0x" << VotesDigest(*result);
     EXPECT_EQ(result->crowd_stats.votes.size(), result->num_candidate_pairs) << pin.name;
     EXPECT_EQ(result->candidate_pairs.size(), result->num_candidate_pairs) << pin.name;
+  }
+}
+
+// `config` as kStreaming with a 1 KiB budget, 16-pair partitions and
+// 8-record blocks: the candidate stream, the vote shards and (cluster HITs)
+// the bucket store all spill on SmallRestaurant.
+WorkflowConfig ForcedSpill(WorkflowConfig config) {
+  config.execution_mode = ExecutionMode::kStreaming;
+  config.memory_budget_bytes = 1024;
+  config.crowd_partition_pairs = 16;
+  config.stream_block_records = 8;
+  return config;
+}
+
+TEST(GoldenWorkflowTest, MaterializedPinsHoldUnderForcedSpill) {
+  // Every strategy and cluster generator runs under a budget and reproduces
+  // its pin. filtered-adaptive is left out: adaptive selection reorders
+  // within a partition by design, so its bytes depend on the partitioning.
+  const data::Dataset dataset = SmallRestaurant();
+  for (const MaterializedPin& pin : kMaterializedPins) {
+    if (std::string(pin.name) == "filtered-adaptive") continue;
+    const WorkflowConfig config = ForcedSpill(pin.config());
+    auto result = HybridWorkflow(config).Run(dataset);
+    ASSERT_TRUE(result.ok()) << pin.name << ": " << result.status().ToString();
+    EXPECT_EQ(result->crowd_stats.num_hits, pin.num_hits) << pin.name;
+    EXPECT_EQ(result->crowd_stats.num_assignments, pin.num_assignments) << pin.name;
+    EXPECT_EQ(result->crowd_stats.cost_dollars, pin.cost_dollars) << pin.name;
+    EXPECT_EQ(RankedDigest(*result), pin.ranked_digest)
+        << pin.name << std::hex << " ranked 0x" << RankedDigest(*result);
+    EXPECT_GT(result->pipeline_stats.spilled_bytes, 0u) << pin.name;
+    EXPECT_GT(result->pipeline_stats.vote_spilled_bytes, 0u) << pin.name;
+    if (config.hit_type == HitType::kClusterBased) {
+      // Pair HITs are packed per partition straight from the stream; only
+      // cluster HITs have a bucket store to spill.
+      EXPECT_GT(result->pipeline_stats.boundary_spilled_bytes, 0u) << pin.name;
+    }
+    EXPECT_GT(result->pipeline_stats.crowd_partitions, 1u) << pin.name;
+    EXPECT_TRUE(result->candidate_pairs.empty()) << pin.name;
+    EXPECT_TRUE(result->crowd_stats.votes.empty()) << pin.name;
+  }
+
+  // Two cross combinations without a pin of their own match their own
+  // kMaterialized run instead.
+  WorkflowConfig blocking_pairs = WithStrategy(CandidateStrategy::kBlockingVerify);
+  blocking_pairs.hit_type = HitType::kPairBased;
+  WorkflowConfig neighborhood_bfs = WithStrategy(CandidateStrategy::kSortedNeighborhoodVerify);
+  neighborhood_bfs.cluster_algorithm = hitgen::ClusterAlgorithm::kBfs;
+  for (const WorkflowConfig& base : {blocking_pairs, neighborhood_bfs}) {
+    auto materialized = HybridWorkflow(base).Run(dataset);
+    auto streaming = HybridWorkflow(ForcedSpill(base)).Run(dataset);
+    ASSERT_TRUE(materialized.ok() && streaming.ok());
+    EXPECT_EQ(streaming->crowd_stats.num_hits, materialized->crowd_stats.num_hits);
+    EXPECT_EQ(streaming->crowd_stats.num_assignments,
+              materialized->crowd_stats.num_assignments);
+    EXPECT_EQ(streaming->crowd_stats.cost_dollars, materialized->crowd_stats.cost_dollars);
+    EXPECT_EQ(RankedDigest(*streaming), RankedDigest(*materialized));
+    EXPECT_GT(streaming->pipeline_stats.spilled_bytes, 0u);
+    EXPECT_GT(streaming->pipeline_stats.crowd_partitions, 1u);
   }
 }
 

@@ -67,6 +67,41 @@ TEST(WithThousandsTest, GroupsDigits) {
   EXPECT_EQ(WithThousands(-45678), "-45,678");
 }
 
+TEST(ParseNumberTest, ParsesWholeStrings) {
+  EXPECT_EQ(ParseNumber<int>("-12").ValueOrDie(), -12);
+  EXPECT_EQ(ParseNumber<uint32_t>("4294967295").ValueOrDie(), 4294967295u);
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615").ValueOrDie(),
+            18446744073709551615ull);
+  EXPECT_EQ(ParseNumber<double>("0.3").ValueOrDie(), 0.3);
+  EXPECT_EQ(ParseNumber<double>("-1e-3").ValueOrDie(), -1e-3);
+}
+
+TEST(ParseNumberTest, RejectsWhatStoiAccepts) {
+  // Each of these used to read as a number (or abort) through std::sto*.
+  const auto junk = ParseNumber<uint32_t>("12abc");
+  ASSERT_FALSE(junk.ok());
+  EXPECT_TRUE(junk.status().IsInvalidArgument());
+  EXPECT_NE(junk.status().message().find("'12abc'"), std::string::npos);
+
+  const auto negative = ParseNumber<uint32_t>("-1");  // would wrap to 4294967295
+  ASSERT_FALSE(negative.ok());
+  EXPECT_NE(negative.status().message().find("negative"), std::string::npos);
+
+  const auto huge = ParseNumber<uint32_t>("5999999999999999999997");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("out of range"), std::string::npos);
+  EXPECT_FALSE(ParseNumber<uint32_t>("4294967296").ok());
+  EXPECT_FALSE(ParseNumber<int>("2147483648").ok());
+  EXPECT_FALSE(ParseNumber<double>("1e999").ok());
+
+  for (const char* bad : {"", " 1", "1 ", "+1", "0x10", "abc", "1.5"}) {
+    EXPECT_TRUE(ParseNumber<int>(bad).status().IsInvalidArgument()) << bad;
+  }
+  for (const char* bad : {"", "x", "0.3x", "nan", "inf", "-inf"}) {
+    EXPECT_TRUE(ParseNumber<double>(bad).status().IsInvalidArgument()) << bad;
+  }
+}
+
 TEST(ParseByteSizeTest, PlainNumberAndSuffixesEitherCase) {
   EXPECT_EQ(ParseByteSize("0").ValueOrDie(), 0u);
   EXPECT_EQ(ParseByteSize("4096").ValueOrDie(), 4096u);

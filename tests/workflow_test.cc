@@ -226,17 +226,19 @@ TEST(WorkflowTest, ConfigValidationRejectsBadValues) {
   config.crowd.reliable_fraction = 0.8;
   config.crowd.noisy_fraction = 0.5;  // sums > 1
   EXPECT_FALSE(ValidateWorkflowConfig(config).ok());
-  // Streaming needs a streaming-capable machine pass...
+  // Every candidate strategy streams (the one machine pass fills the
+  // candidate stream)...
   config = WorkflowConfig{};
   config.execution_mode = ExecutionMode::kStreaming;
   config.candidate_strategy = CandidateStrategy::kBlockingVerify;
-  EXPECT_FALSE(ValidateWorkflowConfig(config).ok());
-  // ...and, with cluster HITs, the component-local two-tiered generator.
+  EXPECT_TRUE(ValidateWorkflowConfig(config).ok());
+  // ...and so does every cluster generator (the full-graph ones leave a
+  // budgeted one-bucket store).
   config = WorkflowConfig{};
   config.execution_mode = ExecutionMode::kStreaming;
   config.hit_type = HitType::kClusterBased;
   config.cluster_algorithm = hitgen::ClusterAlgorithm::kBfs;
-  EXPECT_FALSE(ValidateWorkflowConfig(config).ok());
+  EXPECT_TRUE(ValidateWorkflowConfig(config).ok());
   config.cluster_algorithm = hitgen::ClusterAlgorithm::kTwoTiered;
   EXPECT_TRUE(ValidateWorkflowConfig(config).ok());
   // Pair-based streaming is algorithm-agnostic (the knob is unused).

@@ -58,18 +58,26 @@ int Usage() {
 
 struct Flags {
   std::map<std::string, std::string> values;
+  /// Set when GetNumber rejects a flag's value, so main answers with the
+  /// usage text and exit code 2 instead of a run failure.
+  mutable bool bad_value = false;
   bool Has(const std::string& key) const { return values.count(key) > 0; }
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+  /// The flag's value as a T, through the strict whole-string ParseNumber;
+  /// `fallback` if absent.
+  template <typename T>
+  Result<T> GetNumber(const std::string& key, T fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::stol(it->second);
+    if (it == values.end()) return fallback;
+    Result<T> value = ParseNumber<T>(it->second);
+    if (!value.ok()) {
+      bad_value = true;
+      return Status::InvalidArgument("--" + key + ": " + value.status().message());
+    }
+    return value;
   }
 };
 
@@ -95,8 +103,8 @@ Result<data::Dataset> LoadDataset(const Flags& flags) {
   const std::string csv = flags.Get("csv", "");
   if (!csv.empty()) return data::ReadDatasetCsv(csv, csv);
   const std::string kind = flags.Get("dataset", "product");
-  const double scale = flags.GetDouble("scale", 1.0);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetLong("seed", 0));
+  CROWDER_ASSIGN_OR_RETURN(const double scale, flags.GetNumber<double>("scale", 1.0));
+  CROWDER_ASSIGN_OR_RETURN(const uint64_t seed, flags.GetNumber<uint64_t>("seed", 0));
   if (kind == "restaurant") {
     data::RestaurantConfig config;
     if (seed) config.seed = seed;
@@ -119,20 +127,23 @@ Result<data::Dataset> LoadDataset(const Flags& flags) {
   return Status::InvalidArgument("unknown dataset kind '" + kind + "'");
 }
 
-serve::ServiceConfig ConfigFromFlags(const Flags& flags) {
+Result<serve::ServiceConfig> ConfigFromFlags(const Flags& flags) {
   serve::ServiceConfig config;
-  config.threshold = flags.GetDouble("threshold", config.threshold);
-  config.auto_match_threshold = flags.GetDouble("auto-match", config.auto_match_threshold);
-  config.match_threshold = flags.GetDouble("match-threshold", config.match_threshold);
-  config.crowd_flush_pairs = static_cast<size_t>(
-      flags.GetLong("flush-pairs", static_cast<long>(config.crowd_flush_pairs)));
-  config.pairs_per_hit =
-      static_cast<uint32_t>(flags.GetLong("pairs-per-hit", config.pairs_per_hit));
-  config.publish_interval = static_cast<uint64_t>(
-      flags.GetLong("publish-interval", static_cast<long>(config.publish_interval)));
-  config.hits_per_poll =
-      static_cast<uint32_t>(flags.GetLong("hits-per-poll", config.hits_per_poll));
-  config.seed = static_cast<uint64_t>(flags.GetLong("seed", static_cast<long>(config.seed)));
+  CROWDER_ASSIGN_OR_RETURN(config.threshold,
+                           flags.GetNumber<double>("threshold", config.threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
+                           flags.GetNumber<double>("auto-match", config.auto_match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
+                           flags.GetNumber<double>("match-threshold", config.match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.crowd_flush_pairs,
+                           flags.GetNumber<uint64_t>("flush-pairs", config.crowd_flush_pairs));
+  CROWDER_ASSIGN_OR_RETURN(config.pairs_per_hit,
+                           flags.GetNumber<uint32_t>("pairs-per-hit", config.pairs_per_hit));
+  CROWDER_ASSIGN_OR_RETURN(config.publish_interval,
+                           flags.GetNumber<uint64_t>("publish-interval", config.publish_interval));
+  CROWDER_ASSIGN_OR_RETURN(config.hits_per_poll,
+                           flags.GetNumber<uint32_t>("hits-per-poll", config.hits_per_poll));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, flags.GetNumber<uint64_t>("seed", config.seed));
   config.background = !flags.Has("inline");
   config.async_delivery = !flags.Has("sync");
   return config;
@@ -200,14 +211,15 @@ void PrintQuantiles(const char* label, const Histogram& h) {
 Result<int> RunBench(const Flags& flags) {
   CROWDER_ASSIGN_OR_RETURN(const data::Dataset dataset, LoadDataset(flags));
   const uint32_t num_records = static_cast<uint32_t>(dataset.table.num_records());
-  serve::ServiceConfig config = ConfigFromFlags(flags);
+  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));
   // Match the batch pipeline's candidate rule: a two-source dataset (Product)
   // only pairs records across sources. BatchResolve reads the labels off the
   // dataset directly, so the service must gate the same way or --compare-batch
   // would report a divergence that is really a config mismatch.
   config.cross_source_only = !dataset.table.sources.empty();
-  const long query_threads = flags.GetLong("query-threads", 2);
-  if (query_threads < 0 || query_threads > 256) {
+  CROWDER_ASSIGN_OR_RETURN(const uint32_t query_threads,
+                           flags.GetNumber<uint32_t>("query-threads", 2));
+  if (query_threads > 256) {
     return Status::InvalidArgument("--query-threads must be in [0, 256]");
   }
   const std::string mode = flags.Get("mode", "closed");
@@ -215,7 +227,8 @@ Result<int> RunBench(const Flags& flags) {
     return Status::InvalidArgument("--mode must be closed or open");
   }
   const bool open_loop = mode == "open";
-  const double target_qps = flags.GetDouble("target-qps", 2000.0);
+  CROWDER_ASSIGN_OR_RETURN(const double target_qps,
+                           flags.GetNumber<double>("target-qps", 2000.0));
   if (open_loop && target_qps <= 0) {
     return Status::InvalidArgument("--target-qps must be positive in open-loop mode");
   }
@@ -347,7 +360,7 @@ int main(int argc, char** argv) {
   auto code = crowder::RunBench(*flags);
   if (!code.ok()) {
     std::cerr << "error: " << code.status().ToString() << "\n";
-    return 1;
+    return flags->bad_value ? crowder::Usage() : 1;
   }
   return *code;
 }

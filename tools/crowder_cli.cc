@@ -30,8 +30,12 @@
 //       pipeline end-to-end in bounded memory: the candidate pairs flow
 //       through a spillable stream and the crowd boundary (HIT generation,
 //       crowd simulation, vote table, aggregation) runs one pair partition
-//       at a time, so the full pair list / pair graph / vote table are
-//       never resident; entity clustering switches to the streaming
+//       at a time, so with the allpairs strategy and the two-tiered
+//       algorithm (or pair HITs) the full pair list / pair graph / vote
+//       table are never resident. Every --strategy and --algorithm runs
+//       with --streaming; blocking, sorted-neighborhood and the
+//       bfs/dfs/random/approximation algorithms hold O(pairs) while they
+//       run, whatever the budget. Entity clustering switches to the streaming
 //       union-find resolver (pure transitive closure — the cross-support
 //       merge guard of the materialized path needs the full confirmed edge
 //       set, so the cluster report is labeled with which rule produced
@@ -51,10 +55,12 @@
 //       byte-identical to the recording run. A truncated, corrupt, or
 //       mismatched replay log fails with a DataLoss error naming the
 //       offending HIT index, and the process exits with the distinct code
-//       3 (1 = any other failure, 2 = usage). --machine-only stops after
-//       the machine pass and reports pair counts, recall, throughput, and
-//       spill statistics. The adversarial knobs recompose the simulated
-//       worker pool: --spammer-fraction / --colluder-fraction /
+//       3 (1 = any other failure, 2 = usage, including a numeric flag whose
+//       value is not a whole number of the right type, such as --k abc or
+//       --seed -1). --machine-only stops after the workflow's own machine
+//       pass (every --strategy, --shards) and reports pair counts, recall,
+//       throughput, and spill statistics. The adversarial knobs recompose
+//       the simulated worker pool: --spammer-fraction / --colluder-fraction /
 //       --sleeper-fraction displace honest workers (the honest remainder
 //       keeps the default reliable:noisy ratio). --filter-workers turns on
 //       the between-rounds approval-rate admission filter, whose bans are
@@ -112,29 +118,36 @@ namespace {
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
+  /// Set when GetNumber rejects a flag's value, so main answers with the
+  /// usage text and exit code 2 instead of a run failure.
+  mutable bool bad_value = false;
 
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+  /// The flag's value as a T, through the strict whole-string ParseNumber
+  /// (so "-1" is no uint32_t and "12abc" no number); `fallback` if absent.
+  template <typename T>
+  Result<T> GetNumber(const std::string& key, T fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    if (it == flags.end()) return fallback;
+    Result<T> value = ParseNumber<T>(it->second);
+    if (!value.ok()) {
+      bad_value = true;
+      return Status::InvalidArgument("--" + key + ": " + value.status().message());
+    }
+    return value;
   }
-  long GetLong(const std::string& key, long fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stol(it->second);
-  }
-  /// --threads, range-checked: a negative value would otherwise wrap through
-  /// uint32_t and ask the pool for billions of workers.
+  /// --threads, range-checked: the pool starts this many workers.
   Result<uint32_t> GetThreads() const {
-    const long threads = GetLong("threads", 1);
-    if (threads < 0 || threads > 4096) {
+    CROWDER_ASSIGN_OR_RETURN(const uint32_t threads, GetNumber<uint32_t>("threads", 1));
+    if (threads > 4096) {
       return Status::InvalidArgument("--threads must be in [0, 4096], got " +
                                      std::to_string(threads));
     }
-    return static_cast<uint32_t>(threads);
+    return threads;
   }
 };
 
@@ -187,8 +200,8 @@ Status Generate(const Args& args) {
   if (kind.empty() || out.empty()) {
     return Status::InvalidArgument("generate requires --dataset and --out");
   }
-  const uint64_t seed = static_cast<uint64_t>(args.GetLong("seed", 0));
-  const double scale = args.GetDouble("scale", 1.0);
+  CROWDER_ASSIGN_OR_RETURN(const uint64_t seed, args.GetNumber<uint64_t>("seed", 0));
+  CROWDER_ASSIGN_OR_RETURN(const double scale, args.GetNumber<double>("scale", 1.0));
   data::Dataset dataset;
   if (kind == "restaurant") {
     data::RestaurantConfig config;
@@ -276,10 +289,11 @@ std::string FormatBytes(uint64_t bytes) {
   return std::to_string(bytes) + " B";
 }
 
-/// The machine pass alone (`run --machine-only`): with --streaming the
-/// candidate pairs flow through a budgeted PairStream and are never
-/// materialized — the bounded-memory path the CI smoke job runs under an
-/// address-space cap.
+/// The machine pass alone (`run --machine-only`): the workflow's own
+/// HybridWorkflow::MachinePassInto, so every strategy and --shards run as
+/// they would in the full workflow. With --streaming the candidate pairs
+/// flow through a budgeted PairStream — the bounded-memory path the CI
+/// smoke job runs under an address-space cap.
 Status RunMachineOnly(const data::Dataset& dataset,
                       const core::WorkflowConfig& config) {
   const uint64_t total_matches = dataset.CountMatchingPairs();
@@ -288,52 +302,16 @@ Status RunMachineOnly(const data::Dataset& dataset,
   }
   const bool streaming = config.execution_mode == core::ExecutionMode::kStreaming;
   const bool sharded = config.num_shards >= 2;
+  const core::WorkflowConfig effective = core::EffectiveWorkflowConfig(config);
   WallTimer timer;
-  uint64_t num_pairs = 0;
-  uint64_t candidate_matches = 0;
-  uint64_t spilled = 0;
-  uint64_t resident = 0;
+  core::PairStream stream(effective.memory_budget_bytes);
   shard::ShardRunStats shard_stats;
-  if (sharded) {
-    // The sharded machine pass always routes through a PairStream (its
-    // k-way merge is what restores the global pair order); --streaming
-    // just bounds the stream's resident bytes.
-    shard::ShardExecOptions exec;
-    exec.num_shards = config.num_shards;
-    exec.worker_path = config.shard_worker_path;
-    core::PairStream stream(streaming ? config.memory_budget_bytes : 0);
-    CROWDER_ASSIGN_OR_RETURN(
-        const auto stats,
-        core::HybridWorkflow::MachinePassSharded(dataset, config.measure,
-                                                 config.likelihood_threshold, exec,
-                                                 &stream, &shard_stats));
-    num_pairs = stats.num_pairs;
-    candidate_matches = stats.candidate_matches;
-    spilled = stats.spilled_bytes;
-    resident = stream.memory_bytes();
-  } else if (streaming) {
-    core::PairStream stream(config.memory_budget_bytes);
-    CROWDER_ASSIGN_OR_RETURN(
-        const auto stats,
-        core::HybridWorkflow::MachinePassStream(dataset, config.measure,
-                                                config.likelihood_threshold,
-                                                config.num_threads, &stream));
-    num_pairs = stats.num_pairs;
-    candidate_matches = stats.candidate_matches;
-    spilled = stats.spilled_bytes;
-    resident = stream.memory_bytes();
-  } else {
-    CROWDER_ASSIGN_OR_RETURN(
-        const auto pairs,
-        core::HybridWorkflow::MachinePass(dataset, config.measure,
-                                          config.likelihood_threshold,
-                                          config.candidate_strategy, config.num_threads));
-    num_pairs = pairs.size();
-    candidate_matches = core::internal::CountCandidateMatches(dataset, pairs);
-  }
+  CROWDER_ASSIGN_OR_RETURN(
+      const auto stats,
+      core::HybridWorkflow::MachinePassInto(dataset, effective, &stream, &shard_stats));
   const double seconds = timer.ElapsedSeconds();
   const double recall =
-      static_cast<double>(candidate_matches) / static_cast<double>(total_matches);
+      static_cast<double>(stats.candidate_matches) / static_cast<double>(total_matches);
 
   std::cout << "records:            " << dataset.table.num_records() << "\n";
   std::cout << "machine pass:       " << (streaming ? "streaming" : "materialized");
@@ -341,12 +319,12 @@ Status RunMachineOnly(const data::Dataset& dataset,
     std::cout << " (budget "
               << (config.memory_budget_bytes == 0 ? std::string("unbounded")
                                                   : FormatBytes(config.memory_budget_bytes))
-              << ", resident " << FormatBytes(resident) << ", spilled "
-              << FormatBytes(spilled) << ")";
+              << ", resident " << FormatBytes(stream.memory_bytes()) << ", spilled "
+              << FormatBytes(stats.spilled_bytes) << ")";
   }
   std::cout << "\n";
   if (sharded) PrintShardReport(shard_stats);
-  std::cout << "candidate pairs:    " << WithThousands(num_pairs) << " (machine recall "
+  std::cout << "candidate pairs:    " << WithThousands(stats.num_pairs) << " (machine recall "
             << FormatDouble(100 * recall, 1) << "%)\n";
   std::cout << "machine time:       " << FormatDouble(seconds, 2) << "s ("
             << WithThousands(static_cast<uint64_t>(
@@ -361,10 +339,11 @@ Status Run(const Args& args) {
   CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
 
   core::WorkflowConfig config;
-  config.likelihood_threshold = args.GetDouble("threshold", 0.3);
-  config.cluster_size = static_cast<uint32_t>(args.GetLong("k", 10));
+  CROWDER_ASSIGN_OR_RETURN(config.likelihood_threshold,
+                           args.GetNumber<double>("threshold", 0.3));
+  CROWDER_ASSIGN_OR_RETURN(config.cluster_size, args.GetNumber<uint32_t>("k", 10));
   config.pairs_per_hit = config.cluster_size;
-  config.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, args.GetNumber<uint64_t>("seed", 42));
   CROWDER_ASSIGN_OR_RETURN(config.num_threads, args.GetThreads());
   CROWDER_ASSIGN_OR_RETURN(config.candidate_strategy,
                            StrategyFromName(args.Get("strategy", "allpairs")));
@@ -377,11 +356,8 @@ Status Run(const Args& args) {
     }
   }
   if (args.Has("partition-pairs")) {
-    const long partition_pairs = args.GetLong("partition-pairs", 0);
-    if (partition_pairs < 0) {
-      return Status::InvalidArgument("--partition-pairs must be non-negative");
-    }
-    config.crowd_partition_pairs = static_cast<uint64_t>(partition_pairs);
+    CROWDER_ASSIGN_OR_RETURN(config.crowd_partition_pairs,
+                             args.GetNumber<uint64_t>("partition-pairs", 0));
     if (!args.Has("streaming")) {
       std::cerr << "warning: --partition-pairs only applies with --streaming; ignored\n";
     }
@@ -396,9 +372,12 @@ Status Run(const Args& args) {
   const bool adversarial = args.Has("spammer-fraction") || args.Has("colluder-fraction") ||
                            args.Has("sleeper-fraction");
   if (adversarial) {
-    const double spammer = args.GetDouble("spammer-fraction", 0.0);
-    const double colluder = args.GetDouble("colluder-fraction", 0.0);
-    const double sleeper = args.GetDouble("sleeper-fraction", 0.0);
+    CROWDER_ASSIGN_OR_RETURN(const double spammer,
+                             args.GetNumber<double>("spammer-fraction", 0.0));
+    CROWDER_ASSIGN_OR_RETURN(const double colluder,
+                             args.GetNumber<double>("colluder-fraction", 0.0));
+    CROWDER_ASSIGN_OR_RETURN(const double sleeper,
+                             args.GetNumber<double>("sleeper-fraction", 0.0));
     if (spammer < 0.0 || colluder < 0.0 || sleeper < 0.0 ||
         spammer + colluder + sleeper > 1.0) {
       return Status::InvalidArgument(
@@ -426,12 +405,11 @@ Status Run(const Args& args) {
   }
 
   if (args.Has("shards")) {
-    const long shards = args.GetLong("shards", 0);
-    if (shards < 1 || shards > 1024) {
+    CROWDER_ASSIGN_OR_RETURN(config.num_shards, args.GetNumber<uint32_t>("shards", 0));
+    if (config.num_shards < 1 || config.num_shards > 1024) {
       return Status::InvalidArgument("--shards must be in [1, 1024], got " +
-                                     std::to_string(shards));
+                                     std::to_string(config.num_shards));
     }
-    config.num_shards = static_cast<uint32_t>(shards);
     config.shard_worker_path = args.Get("shardd", "");
     if (config.num_shards >= 2 && config.shard_worker_path.empty()) {
       config.shard_worker_path = DefaultShardWorkerPath();
@@ -612,11 +590,12 @@ Status Plan(const Args& args) {
   }
   CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
   core::WorkflowConfig base;
-  base.cluster_size = static_cast<uint32_t>(args.GetLong("k", 10));
+  CROWDER_ASSIGN_OR_RETURN(base.cluster_size, args.GetNumber<uint32_t>("k", 10));
   CROWDER_ASSIGN_OR_RETURN(base.num_threads, args.GetThreads());
+  CROWDER_ASSIGN_OR_RETURN(const double budget, args.GetNumber<double>("budget", 0.0));
   CROWDER_ASSIGN_OR_RETURN(
       core::BudgetPlan plan,
-      core::PlanForBudget(dataset, args.GetDouble("budget", 0.0), base,
+      core::PlanForBudget(dataset, budget, base,
                           {0.5, 0.4, 0.3, 0.2, 0.1}));
   eval::TablePrinter table({"threshold", "#pairs", "#HITs", "cost", "machine recall"});
   for (const auto& pt : plan.evaluated) {
@@ -640,10 +619,13 @@ Status ServeBatch(const Args& args) {
   CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
 
   serve::ServiceConfig config;
-  config.threshold = args.GetDouble("threshold", config.threshold);
-  config.auto_match_threshold = args.GetDouble("auto-match", config.auto_match_threshold);
-  config.match_threshold = args.GetDouble("match-threshold", config.match_threshold);
-  config.seed = static_cast<uint64_t>(args.GetLong("seed", static_cast<long>(config.seed)));
+  CROWDER_ASSIGN_OR_RETURN(config.threshold,
+                           args.GetNumber<double>("threshold", config.threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
+                           args.GetNumber<double>("auto-match", config.auto_match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
+                           args.GetNumber<double>("match-threshold", config.match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, args.GetNumber<uint64_t>("seed", config.seed));
 
   CROWDER_ASSIGN_OR_RETURN(const serve::ServiceReport report,
                            serve::BatchResolve(dataset, config));
@@ -692,6 +674,7 @@ int main(int argc, char** argv) {
   }
   if (!status.ok()) {
     std::cerr << "error: " << status.ToString() << "\n";
+    if (args->bad_value) return crowder::cli::Usage();
     // Replay-log failures (truncated / corrupt / mismatched vote log) get a
     // distinct exit code so scripts can tell a bad recording apart from any
     // other failure.

@@ -36,6 +36,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "data/dataset.h"
@@ -58,18 +59,26 @@ REPORT path, QUIT
 
 struct Flags {
   std::map<std::string, std::string> values;
+  /// Set when GetNumber rejects a flag's value, so main answers with the
+  /// usage text and exit code 2 instead of a run failure.
+  mutable bool bad_value = false;
   bool Has(const std::string& key) const { return values.count(key) > 0; }
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+  /// The flag's value as a T, through the strict whole-string ParseNumber;
+  /// `fallback` if absent.
+  template <typename T>
+  Result<T> GetNumber(const std::string& key, T fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::stol(it->second);
+    if (it == values.end()) return fallback;
+    Result<T> value = ParseNumber<T>(it->second);
+    if (!value.ok()) {
+      bad_value = true;
+      return Status::InvalidArgument("--" + key + ": " + value.status().message());
+    }
+    return value;
   }
 };
 
@@ -91,20 +100,23 @@ Result<Flags> Parse(int argc, char** argv) {
   return flags;
 }
 
-serve::ServiceConfig ConfigFromFlags(const Flags& flags) {
+Result<serve::ServiceConfig> ConfigFromFlags(const Flags& flags) {
   serve::ServiceConfig config;
-  config.threshold = flags.GetDouble("threshold", config.threshold);
-  config.auto_match_threshold = flags.GetDouble("auto-match", config.auto_match_threshold);
-  config.match_threshold = flags.GetDouble("match-threshold", config.match_threshold);
-  config.crowd_flush_pairs =
-      static_cast<size_t>(flags.GetLong("flush-pairs", static_cast<long>(config.crowd_flush_pairs)));
-  config.pairs_per_hit =
-      static_cast<uint32_t>(flags.GetLong("pairs-per-hit", config.pairs_per_hit));
-  config.publish_interval = static_cast<uint64_t>(
-      flags.GetLong("publish-interval", static_cast<long>(config.publish_interval)));
-  config.hits_per_poll =
-      static_cast<uint32_t>(flags.GetLong("hits-per-poll", config.hits_per_poll));
-  config.seed = static_cast<uint64_t>(flags.GetLong("seed", static_cast<long>(config.seed)));
+  CROWDER_ASSIGN_OR_RETURN(config.threshold,
+                           flags.GetNumber<double>("threshold", config.threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
+                           flags.GetNumber<double>("auto-match", config.auto_match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
+                           flags.GetNumber<double>("match-threshold", config.match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.crowd_flush_pairs,
+                           flags.GetNumber<uint64_t>("flush-pairs", config.crowd_flush_pairs));
+  CROWDER_ASSIGN_OR_RETURN(config.pairs_per_hit,
+                           flags.GetNumber<uint32_t>("pairs-per-hit", config.pairs_per_hit));
+  CROWDER_ASSIGN_OR_RETURN(config.publish_interval,
+                           flags.GetNumber<uint64_t>("publish-interval", config.publish_interval));
+  CROWDER_ASSIGN_OR_RETURN(config.hits_per_poll,
+                           flags.GetNumber<uint32_t>("hits-per-poll", config.hits_per_poll));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, flags.GetNumber<uint64_t>("seed", config.seed));
   config.background = !flags.Has("inline");
   config.async_delivery = !flags.Has("sync");
   config.cross_source_only = flags.Has("cross-source");
@@ -153,16 +165,16 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
       std::cout << "error: INSERT wants source|entity|text\n";
       return true;
     }
-    int source = 0;
-    uint32_t entity = 0;
-    try {
-      source = std::stoi(rest.substr(0, bar1));
-      entity = static_cast<uint32_t>(std::stoul(rest.substr(bar1 + 1, bar2 - bar1 - 1)));
-    } catch (const std::exception&) {
-      std::cout << "error: INSERT source and entity must be integers\n";
+    const std::string_view fields(rest);
+    const Result<int> source = ParseNumber<int>(Trim(fields.substr(0, bar1)));
+    const Result<uint32_t> entity =
+        ParseNumber<uint32_t>(Trim(fields.substr(bar1 + 1, bar2 - bar1 - 1)));
+    if (!source.ok() || !entity.ok()) {
+      std::cout << "error: INSERT source and entity must be integers ("
+                << (source.ok() ? entity.status() : source.status()).message() << ")\n";
       return true;
     }
-    auto outcome = service->Insert(rest.substr(bar2 + 1), source, entity);
+    auto outcome = service->Insert(rest.substr(bar2 + 1), *source, *entity);
     if (!outcome.ok()) {
       std::cout << "error: " << outcome.status().ToString() << "\n";
     } else {
@@ -172,13 +184,14 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
   }
 
   if (command == "QUERY") {
-    long id = -1;
-    in >> id;
-    if (id < 0) {
-      std::cout << "error: QUERY wants a record id\n";
+    std::string token;
+    in >> token;
+    const Result<uint32_t> id = ParseNumber<uint32_t>(token);
+    if (!id.ok()) {
+      std::cout << "error: QUERY wants a record id (" << id.status().message() << ")\n";
       return true;
     }
-    auto view = service->Query(static_cast<uint32_t>(id));
+    auto view = service->Query(*id);
     if (!view.ok()) {
       std::cout << "error: " << view.status().ToString() << "\n";
     } else {
@@ -226,7 +239,7 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
 }
 
 Status Serve(const Flags& flags) {
-  serve::ServiceConfig config = ConfigFromFlags(flags);
+  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));
 
   // Load the preload dataset before building the service: a two-source
   // dataset (Product) flips the candidate rule to cross-source-only, exactly
@@ -276,7 +289,7 @@ int main(int argc, char** argv) {
   const crowder::Status status = crowder::Serve(*flags);
   if (!status.ok()) {
     std::cerr << "error: " << status.ToString() << "\n";
-    return 1;
+    return flags->bad_value ? crowder::Usage() : 1;
   }
   return 0;
 }
